@@ -1,0 +1,5 @@
+"""The repository benchmark: named workloads timed end to end and per layer.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``run.py`` for the details.
+"""
