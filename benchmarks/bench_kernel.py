@@ -58,8 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.sampling import SamplingEstimator
 from repro.core.s2bdd import S2BDD
-from repro.engine import EstimatorConfig, ReliabilityEngine
-from repro.engine.parallel import results_checksum
+from repro.engine import EstimatorConfig, ReliabilityEngine, results_checksum
 from repro.engine.worlds import WorldPool, chunk_seed, chunk_spans
 from repro.experiments.workloads import (
     DatasetCache,

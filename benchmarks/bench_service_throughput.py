@@ -77,15 +77,11 @@ def reference_checksums(
 
 
 def build_service(
-    graph, dataset: str, config: EstimatorConfig, *, cache_on: bool, batch_workers: int
+    graph, dataset: str, config: EstimatorConfig, *, cache_on: bool
 ) -> Tuple[ReliabilityService, ServiceServer]:
     catalog = GraphCatalog(config)
     catalog.register(dataset, graph, label=f"dataset:{dataset}")
-    service = ReliabilityService(
-        catalog,
-        cache=ResultCache() if cache_on else None,
-        batch_workers=batch_workers,
-    )
+    service = ReliabilityService(catalog, cache=ResultCache() if cache_on else None)
     server = ServiceServer(
         service, port=0, max_inflight=16, queue_limit=256
     ).start_background()
@@ -148,7 +144,6 @@ def tracing_overhead(
     queries: Sequence[Query],
     stream: Sequence[int],
     *,
-    batch_workers: int,
     max_overhead: float,
     rounds: int = 3,
 ) -> Dict:
@@ -161,9 +156,7 @@ def tracing_overhead(
     noise; the gate holds the enabled deficit under ``max_overhead``.
     """
     best = {True: 0.0, False: 0.0}
-    service, server = build_service(
-        graph, dataset, config, cache_on=True, batch_workers=batch_workers
-    )
+    service, server = build_service(graph, dataset, config, cache_on=True)
     try:
         # One untimed pass warms the cache so both modes measure the same
         # (mostly cache-hit) fast path, where fixed per-request costs are
@@ -204,7 +197,6 @@ def benchmark(
     client_counts: Sequence[int],
     seed: int,
     backend: str,
-    batch_workers: int,
     min_reduction: float,
     passes: int,
     max_trace_overhead: float,
@@ -219,9 +211,7 @@ def benchmark(
     runs = []
     parity_ok = True
     for clients in client_counts:
-        service, server = build_service(
-            graph, dataset, config, cache_on=True, batch_workers=batch_workers
-        )
+        service, server = build_service(graph, dataset, config, cache_on=True)
         try:
             seconds, latencies, observations, errors = replay(
                 server.port, dataset, queries, stream, clients
@@ -259,9 +249,7 @@ def benchmark(
     effectiveness = {}
     evaluations = {}
     for cache_on in (True, False):
-        service, server = build_service(
-            graph, dataset, config, cache_on=cache_on, batch_workers=batch_workers
-        )
+        service, server = build_service(graph, dataset, config, cache_on=cache_on)
         try:
             for _ in range(passes):
                 _, _, observations, errors = replay(
@@ -294,7 +282,6 @@ def benchmark(
         config,
         queries,
         stream,
-        batch_workers=batch_workers,
         max_overhead=max_trace_overhead,
     )
 
@@ -307,7 +294,6 @@ def benchmark(
         "requests": requests,
         "zipf_skew": skew,
         "seed": seed,
-        "batch_workers": batch_workers,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "runs": runs,
@@ -336,10 +322,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--clients", default="1,8,32", help="client counts to time")
     parser.add_argument("--seed", type=int, default=2019, help="workload/engine seed")
     parser.add_argument("--backend", default="sampling", help="reliability backend")
-    parser.add_argument(
-        "--batch-workers", type=int, default=1,
-        help="worker processes per micro-batch",
-    )
     parser.add_argument(
         "--min-reduction", type=float, default=2.0,
         help="required cache-off/cache-on engine-evaluation ratio",
@@ -378,7 +360,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         client_counts=client_counts,
         seed=args.seed,
         backend=args.backend,
-        batch_workers=args.batch_workers,
         min_reduction=args.min_reduction,
         passes=args.passes,
         max_trace_overhead=args.max_trace_overhead,

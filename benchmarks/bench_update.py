@@ -45,7 +45,7 @@ from repro.engine import (
     RemoveEdge,
     SetEdgeProbability,
 )
-from repro.engine.parallel import results_checksum
+from repro.engine.queries import results_checksum
 from repro.experiments.workloads import (
     DatasetCache,
     generate_searches,

@@ -45,7 +45,7 @@ def main() -> None:
 
     catalog = GraphCatalog(config)
     catalog.register("karate", graph)
-    service = ReliabilityService(catalog, batch_workers=1)
+    service = ReliabilityService(catalog)
     server = ServiceServer(service, port=0).start_background()
     print(f"serving on http://{server.address}\n")
 

@@ -74,7 +74,6 @@ from repro.engine import (
     ClusteringQuery,
     EngineStats,
     EstimatorConfig,
-    ExecutionPlan,
     KTerminalQuery,
     Query,
     QueryResult,
@@ -88,7 +87,6 @@ from repro.engine import (
     WorldPool,
     available_backends,
     create_backend,
-    default_worker_count,
     query_from_dict,
     register_backend,
     result_from_dict,
@@ -122,7 +120,6 @@ __all__ = [
     "EstimatorError",
     "EstimatorKind",
     "ExactBDD",
-    "ExecutionPlan",
     "GraphError",
     "InvalidProbabilityError",
     "KTerminalQuery",
@@ -149,7 +146,6 @@ __all__ = [
     "available_backends",
     "brute_force_reliability",
     "create_backend",
-    "default_worker_count",
     "estimate_reliability",
     "exact_bdd_reliability",
     "exact_reliability",

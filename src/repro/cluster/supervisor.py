@@ -56,6 +56,9 @@ class ReplicaHandle:
     host: str = ""
     port: int = 0
     process: Optional[subprocess.Popen] = field(default=None, repr=False)
+    #: The daemon thread draining ``process``'s stdout; it closes the pipe
+    #: once the process exits.
+    reader: Optional[threading.Thread] = field(default=None, repr=False)
     restarts: int = 0
     restart_at: float = 0.0
 
@@ -156,6 +159,11 @@ class ReplicaSupervisor:
                 for handle in self._handles.values()
                 if handle.process is not None
             ]
+            readers = [
+                handle.reader
+                for handle in self._handles.values()
+                if handle.reader is not None
+            ]
         for process in processes:
             if process.poll() is None:
                 process.terminate()
@@ -165,6 +173,9 @@ class ReplicaSupervisor:
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait(timeout=10.0)
+        # Each reader closes its pipe at EOF, which the exits above send.
+        for reader in readers:
+            reader.join(timeout=10.0)
 
     def __enter__(self) -> "ReplicaSupervisor":
         return self
@@ -251,30 +262,41 @@ class ReplicaSupervisor:
             stderr=subprocess.STDOUT,
             text=True,
         )
-        host, port = self._await_banner(process, handle.key)
+        result: Dict[str, object] = {}
+        reader = threading.Thread(
+            target=self._drain,
+            args=(process, result),
+            name=f"repro-cluster-{handle.key}-stdout",
+            daemon=True,
+        )
+        reader.start()
+        host, port = self._await_banner(process, handle.key, result)
         with self._lock:
             handle.process = process
+            handle.reader = reader
             handle.host = host
             handle.port = port
 
-    def _await_banner(self, process: subprocess.Popen, key: str):
-        """Parse the bound address off the replica's first stdout line."""
-        result: Dict[str, object] = {}
+    @staticmethod
+    def _drain(process: subprocess.Popen, result: Dict[str, object]) -> None:
+        """Record the banner's address, then drain stdout until the replica exits.
 
-        def _read() -> None:
-            assert process.stdout is not None
+        An undrained pipe eventually blocks the replica's prints.  The pipe
+        is closed here, at EOF, so a replaced or stopped replica leaves no
+        open file behind.
+        """
+        assert process.stdout is not None
+        with process.stdout:
             for line in process.stdout:
                 if "address" not in result:
                     match = _BANNER.match(line)
                     if match:
                         result["address"] = (match.group(1), int(match.group(2)))
-                # Keep draining forever (daemon thread): an undrained pipe
-                # eventually blocks the replica's prints.
 
-        thread = threading.Thread(
-            target=_read, name=f"repro-cluster-{key}-stdout", daemon=True
-        )
-        thread.start()
+    def _await_banner(
+        self, process: subprocess.Popen, key: str, result: Dict[str, object]
+    ):
+        """Wait until :meth:`_drain` has parsed the replica's bound address."""
         deadline = time.monotonic() + _STARTUP_TIMEOUT
         while time.monotonic() < deadline:
             if "address" in result:

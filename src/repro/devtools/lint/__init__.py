@@ -1,6 +1,6 @@
 """reprolint — the determinism & concurrency analyzer for this repo.
 
-Every guarantee the engine sells — serial ≡ parallel ≡ cluster checksum
+Every guarantee the engine sells — fresh ≡ cached ≡ cluster checksum
 parity — rests on invariants the CI parity gates enforce only *after* a
 violation ships: seeded RNG funneled through :mod:`repro.utils.rng`,
 process-stable fingerprints and cache keys, ordered serialization, lock

@@ -1,7 +1,7 @@
 """The reprolint rule set.
 
 Every rule is grounded in a bug this repo actually shipped or plausibly
-could: the bit-identity guarantees (serial ≡ parallel ≡ cluster, enforced
+could: the bit-identity guarantees (fresh ≡ cached ≡ cluster, enforced
 dynamically by the CI parity gates) all rest on invariants that are easy
 to break with one innocent-looking line.  Each rule's docstring names the
 invariant it protects and the gate that would otherwise catch the bug —
@@ -171,7 +171,7 @@ class RandomUsageRule(Rule):
 
     Module-level draws depend on import order, whatever other code
     consumed from the shared stream, and (for ``seed()``-free processes)
-    OS entropy — none of which survive the serial ≡ parallel ≡ cluster
+    OS entropy — none of which survive the fresh ≡ cached ≡ cluster
     parity contract.  Every stochastic entry point must route through
     :func:`repro.utils.rng.resolve_rng` / ``spawn_rng`` instead; the
     funnel module itself is exempt.  ``random.Random()`` with no seed is
@@ -711,9 +711,7 @@ class PickleBoundaryRule(Rule):
     Locks never pickle.  A live ``random.Random`` *does* pickle, which is
     worse: parent and child silently continue the same stream in two
     places, and every draw after the boundary diverges from serial
-    execution — the executor's contract is to ship *seeds* (see
-    ``config.replace(rng=None)`` + explicit base-seed shipping in
-    :mod:`repro.engine.parallel`).  Only modules that import
+    execution — ship *seeds* instead.  Only modules that import
     ``multiprocessing`` / ``ProcessPoolExecutor`` are inspected.
     """
 

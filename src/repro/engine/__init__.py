@@ -25,11 +25,7 @@ This package is the library's query layer:
 * :mod:`repro.engine.engine` — :class:`ReliabilityEngine`, the session
   object that prepares a graph once (caching its 2-edge-connected
   decomposition index) and then serves many queries with amortized
-  preprocessing,
-* :mod:`repro.engine.parallel` — the process-based parallel executor:
-  ``estimate_many`` / ``query_many`` accept a ``workers=`` knob (or the
-  ``EstimatorConfig.workers`` session default) that shards a batch over
-  worker processes with results bit-identical to serial execution.
+  preprocessing.
 
 Example
 -------
@@ -59,13 +55,9 @@ from repro.engine.deltas import (
     delta_from_dict,
 )
 from repro.engine.engine import DeltaOutcome, EngineStats, ReliabilityEngine
-from repro.engine.parallel import (
-    ExecutionPlan,
-    default_worker_count,
-    results_checksum,
-)
 from repro.engine.queries import (
     ALL_QUERY_KINDS,
+    TIMING_FIELDS,
     ClusteringQuery,
     ClusteringResult,
     KTerminalQuery,
@@ -83,6 +75,7 @@ from repro.engine.queries import (
     TopKReliableVerticesResult,
     query_from_dict,
     result_from_dict,
+    results_checksum,
     validate_query_terminals,
 )
 from repro.engine.registry import (
@@ -107,7 +100,6 @@ __all__ = [
     "DeltaOutcome",
     "EngineStats",
     "EstimatorConfig",
-    "ExecutionPlan",
     "GraphDelta",
     "KTerminalQuery",
     "KTerminalResult",
@@ -122,6 +114,7 @@ __all__ = [
     "ReliableSubgraphResult",
     "RemoveEdge",
     "SetEdgeProbability",
+    "TIMING_FIELDS",
     "ThresholdQuery",
     "ThresholdResult",
     "TopKReliableVerticesQuery",
@@ -132,7 +125,6 @@ __all__ = [
     "available_backends",
     "backend_factory",
     "create_backend",
-    "default_worker_count",
     "delta_from_dict",
     "query_from_dict",
     "register_backend",

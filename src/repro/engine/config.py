@@ -66,13 +66,6 @@ class EstimatorConfig:
         Node budget for the ``"exact-bdd"`` backend before it reports DNF.
     brute_force_max_edges:
         Safety cap on ``|E|`` for the ``"brute"`` backend.
-    workers:
-        Default parallelism of the batch APIs (``estimate_many`` /
-        ``query_many``): the number of worker processes a batch is sharded
-        over (see :mod:`repro.engine.parallel`).  ``1`` — the default —
-        runs batches serially in-process; the per-call ``workers=``
-        argument overrides this session default.  Results are bit-identical
-        at any worker count.
 
     Example
     -------
@@ -95,7 +88,6 @@ class EstimatorConfig:
     rng: RandomLike = None
     exact_bdd_node_limit: int = 2_000_000
     brute_force_max_edges: int = 25
-    workers: int = 1
 
     def __post_init__(self) -> None:
         require_backend(self.backend)
@@ -103,7 +95,6 @@ class EstimatorConfig:
         check_positive_int(self.max_width, "max_width")
         check_positive_int(self.exact_bdd_node_limit, "exact_bdd_node_limit")
         check_positive_int(self.brute_force_max_edges, "brute_force_max_edges")
-        check_positive_int(self.workers, "workers")
         # Coerce the enum-valued fields so strings ("ht", "dfs") are accepted
         # everywhere a config is built, exactly like the legacy estimators.
         object.__setattr__(self, "estimator", EstimatorKind.coerce(self.estimator))
@@ -160,7 +151,6 @@ class EstimatorConfig:
             "rng": self.rng,
             "exact_bdd_node_limit": self.exact_bdd_node_limit,
             "brute_force_max_edges": self.brute_force_max_edges,
-            "workers": self.workers,
         }
 
     @classmethod

@@ -33,8 +33,8 @@ Example
 
 from __future__ import annotations
 
-import dataclasses
 import random
+import warnings
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -167,41 +167,6 @@ class EngineStats:
     s2bdd_cache_hits: int = 0
     s2bdd_resweeps: int = 0
     s2bdd_cache_evictions: int = 0
-
-    def snapshot(self) -> "EngineStats":
-        """An independent copy of the current counters."""
-        return dataclasses.replace(self)
-
-    def since(self, baseline: "EngineStats") -> "EngineStats":
-        """The counter deltas accumulated since ``baseline`` was snapshotted.
-
-        This is how a parallel worker reports what *it* did: the shard
-        takes a snapshot after its setup (prepare + pool injection) and
-        sends back only the per-query increments.
-        """
-        return EngineStats(
-            **{
-                spec.name: getattr(self, spec.name) - getattr(baseline, spec.name)
-                for spec in dataclasses.fields(self)
-            }
-        )
-
-    def merge(
-        self, other: "EngineStats", *, include_queries_served: bool = True
-    ) -> None:
-        """Add another session's (or worker shard's) counters into this one.
-
-        The parallel executor aggregates every worker's delta through this
-        method so a sharded batch reports its *total* decomposition hits,
-        pool hits, and worlds sampled — not just the parent process's.
-        ``include_queries_served=False`` skips the query counter, which the
-        parent reserves up-front (it doubles as the per-query seed cursor,
-        so it must advance exactly once per submitted query).
-        """
-        for spec in dataclasses.fields(self):
-            if spec.name == "queries_served" and not include_queries_served:
-                continue
-            setattr(self, spec.name, getattr(self, spec.name) + getattr(other, spec.name))
 
 
 @dataclass(frozen=True)
@@ -527,9 +492,8 @@ class ReliabilityEngine:
         reuse counts as a ``world_pool_hits`` in :attr:`stats`).
 
         Seeded pools use the chunked sampling scheme of
-        :meth:`WorldPool.from_seed`, whose per-chunk seed derivation makes
-        the pool identical whether it is built here in one pass or
-        assembled from disjoint chunk ranges sampled on parallel workers.
+        :meth:`WorldPool.from_seed`, so a ``(seed, samples)`` pair always
+        means the same worlds, whichever session or process builds it.
 
         Parameters
         ----------
@@ -588,44 +552,15 @@ class ReliabilityEngine:
             pools.pop(next(iter(pools)))
             self._stats.world_pools_evicted += 1
 
-    def _cached_pool(
-        self, graph, seed: int, samples: int
-    ) -> Optional[WorldPool]:
-        """Peek at the pool cache without building or counting anything."""
-        entry = self._world_pools.get(id(graph))
-        if entry is None or entry[0] != self._world_fingerprint(graph):
-            return None
-        return entry[1].get((seed, samples))
-
-    def _install_pool(
-        self, graph, *, seed: int, samples: int, labels: Sequence[Tuple[int, ...]]
-    ) -> WorldPool:
-        """Adopt externally sampled worlds as the cached ``(seed, samples)`` pool.
-
-        Used by the parallel executor on both sides: the parent installs a
-        pool it assembled from worker-sampled chunks, and each worker
-        installs the pool the parent shipped so its pooled queries are
-        cache hits instead of per-worker resampling passes.  Counting the
-        build (or not) is the caller's concern — this method only caches.
-        ``labels`` must be the seeded scheme's worlds for ``(seed,
-        samples)``: the cache key promises exactly that content to every
-        later engine-managed query.
-        """
-        if len(labels) != samples:
-            raise ConfigurationError(
-                f"expected {samples} world labellings, got {len(labels)}"
-            )
-        return self._adopt_pool(graph, WorldPool.from_labels(graph, labels, seed=seed))
-
     def _adopt_pool(self, graph, pool: WorldPool) -> WorldPool:
         """Cache a prebuilt pool under its ``(seed, num_worlds)`` key.
 
-        The tail of :meth:`_install_pool`, split out so callers that
-        already hold a :class:`WorldPool` — the snapshot loader adopts
-        column-major pools via :meth:`WorldPool.from_columns` — can skip
-        the row-major ``labels`` round trip.  The same contract applies:
-        the pool must hold exactly the seeded scheme's worlds for its
-        ``(seed, num_worlds)`` pair.
+        Used by the snapshot loader, which adopts column-major pools via
+        :meth:`WorldPool.from_columns` instead of resampling them.
+        Counting the build (or not) is the caller's concern — this method
+        only caches.  The pool must hold exactly the seeded scheme's
+        worlds for its ``(seed, num_worlds)`` pair: the cache key promises
+        that content to every later engine-managed query.
         """
         if pool.seed is None:
             raise ConfigurationError(
@@ -660,9 +595,9 @@ class ReliabilityEngine:
         seed_index:
             Pin the query to :meth:`query_seed(seed_index) <query_seed>`
             instead of the session's running counter.  This is how a
-            parallel worker (or a caller replaying one query of a batch)
-            reproduces the exact random stream query ``seed_index`` of a
-            serial session would consume.  Mutually exclusive with ``rng``.
+            caller replaying one query of a batch reproduces the exact
+            random stream query ``seed_index`` of the session consumed.
+            Mutually exclusive with ``rng``.
 
         Raises
         ------
@@ -685,32 +620,15 @@ class ReliabilityEngine:
         terminal_sets: Iterable[Sequence[Vertex]],
         *,
         graph=None,
-        workers: Optional[int] = None,
     ) -> List:
         """Answer a batch of queries with amortized preprocessing.
 
         Equivalent to calling :meth:`estimate` once per terminal set —
         including the per-query RNG seeds — while the graph's decomposition
         index is computed at most once for the whole batch.
-
-        Parameters
-        ----------
-        workers:
-            Shard the batch over this many worker processes (see
-            :mod:`repro.engine.parallel`).  Defaults to the configured
-            ``EstimatorConfig.workers``; ``1`` (the default) runs serially
-            in-process.  Results are bit-identical either way: each shard
-            re-derives its queries' seeds from their submission indices
-            and the merge step restores submission order.
         """
         graph = self._require_graph(graph)
-        items = [tuple(terminals) for terminals in terminal_sets]
-        workers = self._resolve_workers(workers, len(items))
-        if workers <= 1:
-            return [self.estimate(terminals, graph=graph) for terminals in items]
-        from repro.engine.parallel import execute_batch
-
-        return execute_batch(self, graph, items, mode="estimate", workers=workers)
+        return [self.estimate(terminals, graph=graph) for terminals in terminal_sets]
 
     # ------------------------------------------------------------------
     # Typed queries
@@ -747,7 +665,7 @@ class ReliabilityEngine:
         seed_index:
             Pin the query to :meth:`query_seed(seed_index) <query_seed>`
             instead of the session's running counter, reproducing the
-            random stream of query ``seed_index`` of a serial batch.
+            random stream of query ``seed_index`` of a batch.
             Mutually exclusive with ``rng``; unlike ``rng`` this keeps the
             engine-managed (pool-sharing) execution paths.
         """
@@ -779,86 +697,53 @@ class ReliabilityEngine:
         queries: Iterable[Query],
         *,
         graph=None,
-        workers: Optional[int] = None,
         seed_indices: Optional[Sequence[int]] = None,
+        workers: Optional[int] = None,
     ) -> List[QueryResult]:
         """Answer a batch of typed queries with shared preprocessing.
 
         Equivalent to calling :meth:`query` once per query — including the
         per-query RNG seeds — while the decomposition index and the world
-        pool are each built at most once for the whole batch.
+        pool are each built at most once for the whole batch.  A query
+        that raises stops the batch there: the queries before it have
+        run (and advanced the seed counter) exactly as single calls would.
 
         Parameters
         ----------
-        workers:
-            Shard the batch over this many worker processes (see
-            :mod:`repro.engine.parallel`).  Defaults to the configured
-            ``EstimatorConfig.workers``; ``1`` (the default) runs serially
-            in-process.  Results are bit-identical either way (timing
-            fields aside): shards re-derive their queries' seeds from the
-            submission indices, pooled worlds come from one shared pool
-            sampled in order-stable chunks, and the merge step restores
-            submission order.
         seed_indices:
             Pin each query of the batch to an explicit position in the
             :meth:`query_seed(i) <query_seed>` schedule (one index per
             query, in batch order) instead of the session's running
-            counter.  This is how the service layer evaluates every
-            request as if it were the first query of a fresh session
-            (``seed_indices=[0] * n``), so an answer is independent of
-            what the shared engine served before it — the property its
-            result cache relies on.  Works identically at any worker
-            count.
+            counter.  ``seed_indices=[0] * n`` evaluates every query as
+            the first query of a fresh session, so an answer is
+            independent of what the engine served before it.
+        workers:
+            Deprecated and ignored: batches always run in-process.  A
+            value other than ``None`` is still validated as a positive
+            int and emits a :class:`DeprecationWarning`.
         """
+        if workers is not None:
+            check_positive_int(workers, "workers")
+            warnings.warn(
+                "query_many(workers=...) is deprecated and has no effect; "
+                "batches always run in-process",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         graph = self._require_graph(graph)
         items = list(queries)
-        if seed_indices is not None:
-            seed_indices = [int(index) for index in seed_indices]
-            if len(seed_indices) != len(items):
-                raise ConfigurationError(
-                    f"seed_indices lists {len(seed_indices)} entries for a "
-                    f"batch of {len(items)} queries; pass one index per query"
-                )
-        workers = self._resolve_workers(workers, len(items))
-        if workers <= 1 or any(not isinstance(query, Query) for query in items):
-            # The second disjunct replicates serial failure semantics for a
-            # malformed batch exactly: the valid prefix runs (advancing the
-            # seed cursor and session state as serial would) and the first
-            # non-Query item raises in place.
-            if seed_indices is None:
-                return [self.query(query, graph=graph) for query in items]
-            return [
-                self.query(query, graph=graph, seed_index=index)
-                for query, index in zip(items, seed_indices)
-            ]
-        from repro.engine.parallel import execute_batch
-
-        # Serial query() makes `graph` the session's active graph on every
-        # call; the sharded path must leave the same session state behind.
-        self._active = graph
-        return execute_batch(
-            self, graph, items, mode="query", workers=workers, seed_indices=seed_indices
-        )
-
-    def execution_plan(self, queries: Iterable[Query], *, workers: Optional[int] = None):
-        """The :class:`~repro.engine.parallel.ExecutionPlan` a parallel batch would use.
-
-        Purely introspective: computes the shard assignment and the world
-        pools the executor would pre-build for ``queries`` without running
-        anything.  ``workers`` defaults to the configured parallelism and
-        is clamped to the batch size exactly as :meth:`query_many` does.
-        """
-        from repro.engine.parallel import ExecutionPlan, pooled_sample_budgets
-
-        items = list(queries)
-        for query in items:
-            self._require_query(query)
-        workers = self._resolve_workers(workers, len(items))
-        return ExecutionPlan.for_batch(
-            len(items),
-            workers,
-            pool_samples=pooled_sample_budgets(self._config, items),
-        )
+        if seed_indices is None:
+            return [self.query(query, graph=graph) for query in items]
+        seed_indices = [int(index) for index in seed_indices]
+        if len(seed_indices) != len(items):
+            raise ConfigurationError(
+                f"seed_indices lists {len(seed_indices)} entries for a "
+                f"batch of {len(items)} queries; pass one index per query"
+            )
+        return [
+            self.query(query, graph=graph, seed_index=index)
+            for query, index in zip(items, seed_indices)
+        ]
 
     @staticmethod
     def _require_query(query) -> None:
@@ -885,13 +770,6 @@ class ReliabilityEngine:
         if rng is None:
             return random.Random(self.query_seed(index))
         return resolve_rng(rng)
-
-    def _resolve_workers(self, workers: Optional[int], num_items: int) -> int:
-        """Validate the ``workers`` knob and clamp it to the batch size."""
-        if workers is None:
-            workers = self._config.workers
-        check_positive_int(workers, "workers")
-        return min(workers, num_items) if num_items else 1
 
     def _require_graph(self, graph):
         if graph is None:

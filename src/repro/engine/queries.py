@@ -45,6 +45,7 @@ Example
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import (
@@ -54,6 +55,7 @@ from typing import (
     ClassVar,
     Dict,
     Hashable,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -90,14 +92,15 @@ __all__ = [
     "ReliabilitySearchResult",
     "ReliableSubgraphQuery",
     "ReliableSubgraphResult",
+    "TIMING_FIELDS",
     "ThresholdQuery",
     "ThresholdResult",
     "TopKReliableVerticesQuery",
     "TopKReliableVerticesResult",
     "greedy_reliable_subgraph",
-    "pooled_backend_estimation",
     "query_from_dict",
     "result_from_dict",
+    "results_checksum",
     "validate_query_terminals",
 ]
 
@@ -196,19 +199,9 @@ def _register_result(cls: Type["QueryResult"]) -> Type["QueryResult"]:
 
 @dataclass(frozen=True)
 class Query:
-    """Base class of the typed queries answered by ``engine.query``.
-
-    ``pool_usage`` declares, next to each query class, whether its
-    execution reads the engine's shared world pool: ``"always"`` (the
-    sampling-driven kinds), ``"backend"`` (only when
-    :func:`pooled_backend_estimation` holds for the session's config), or
-    ``"never"``.  The parallel executor consults it to decide which pools
-    to pre-build for a batch, so a new query kind only has to state its
-    behaviour once, here, to be sharded correctly.
-    """
+    """Base class of the typed queries answered by ``engine.query``."""
 
     kind: ClassVar[str] = ""
-    pool_usage: ClassVar[str] = "never"
 
     def to_dict(self) -> Dict[str, Any]:
         """Return a JSON-safe dict (``kind`` plus the query's fields)."""
@@ -311,34 +304,62 @@ def _pairs(mapping: Mapping[Any, Any]) -> List[List[Any]]:
 
 
 # ----------------------------------------------------------------------
+# Parity checksum
+# ----------------------------------------------------------------------
+#: Wall-clock fields excluded from the parity checksum: they are the only
+#: result content that legitimately differs between two executions of the
+#: same workload.
+TIMING_FIELDS = frozenset({"elapsed_seconds", "preprocess_seconds"})
+
+
+def _strip_timing(value: Any) -> Any:
+    if isinstance(value, dict):
+        return {
+            key: _strip_timing(item)
+            for key, item in value.items()
+            if key not in TIMING_FIELDS
+        }
+    if isinstance(value, (list, tuple)):
+        return [_strip_timing(item) for item in value]
+    return value
+
+
+def results_checksum(results: Iterable[Any]) -> str:
+    """SHA-256 fingerprint of a result batch's semantic content.
+
+    Serializes each result through its ``to_dict`` form with the
+    wall-clock fields (:data:`TIMING_FIELDS`) stripped recursively, so two
+    executions of one workload — fresh or cached, one process or another
+    — produce equal checksums iff every estimate, decision, ranking, and
+    counter in their results is bit-for-bit identical.
+    """
+    payload = [
+        _strip_timing(result.to_dict() if hasattr(result, "to_dict") else result)
+        for result in results
+    ]
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+# ----------------------------------------------------------------------
 # Pooled Monte Carlo plumbing
 # ----------------------------------------------------------------------
-def pooled_backend_estimation(config) -> bool:
-    """Whether estimation-style queries read from the shared world pool.
-
-    True for the ``"sampling"`` backend with Monte Carlo aggregation — the
-    one configuration whose k-terminal/threshold answers are world-pool
-    scans.  This is the single source of truth for that predicate: the
-    per-query dispatch below and the parallel executor's pool pre-build
-    (:func:`repro.engine.parallel.pooled_sample_budgets`) both call it, so
-    a future pooled backend cannot drift them apart.
-    """
-    return (
-        config.backend == "sampling"
-        and config.estimator is EstimatorKind.MONTE_CARLO
-    )
-
-
 def _pooled_estimation(context: QueryContext) -> bool:
     """Whether k-terminal estimation should read from the world pool.
 
-    Only engine-managed randomness is pooled: an explicit per-query random
-    source can never share a cached pool, so routing it to the backend's
-    own sampler avoids materializing a throwaway pool (and keeps the
-    per-call baseline semantics the experiment runners time).
+    True for the ``"sampling"`` backend with Monte Carlo aggregation — the
+    one configuration whose k-terminal/threshold answers are world-pool
+    scans.  Only engine-managed randomness is pooled: an explicit
+    per-query random source can never share a cached pool, so routing it
+    to the backend's own sampler avoids materializing a throwaway pool
+    (and keeps the per-call baseline semantics the experiment runners
+    time).
     """
-    return not context.explicit_rng and pooled_backend_estimation(
-        context.engine.config
+    config = context.engine.config
+    return (
+        not context.explicit_rng
+        and config.backend == "sampling"
+        and config.estimator is EstimatorKind.MONTE_CARLO
     )
 
 
@@ -411,7 +432,6 @@ class KTerminalQuery(Query):
     """
 
     kind: ClassVar[str] = "k-terminal"
-    pool_usage: ClassVar[str] = "backend"
 
     terminals: Tuple[Vertex, ...]
 
@@ -464,7 +484,7 @@ class ThresholdResult(QueryResult):
     elapsed_seconds:
         Wall-clock evaluation time of this answer.  Like every timing
         field it is excluded from ``results_checksum`` (see
-        :data:`~repro.engine.parallel.TIMING_FIELDS`) and defaults to
+        :data:`TIMING_FIELDS`) and defaults to
         ``0.0`` when absent from older wire payloads — historically the
         early-exit path reported no timing at all, which left threshold
         rows blank in experiment footers.
@@ -514,7 +534,6 @@ class ThresholdQuery(Query):
     """
 
     kind: ClassVar[str] = "threshold"
-    pool_usage: ClassVar[str] = "backend"
 
     terminals: Tuple[Vertex, ...]
     threshold: float
@@ -621,7 +640,6 @@ class ReliabilitySearchQuery(Query):
     """
 
     kind: ClassVar[str] = "search"
-    pool_usage: ClassVar[str] = "always"
 
     sources: Tuple[Vertex, ...]
     threshold: float
@@ -718,7 +736,6 @@ class TopKReliableVerticesQuery(Query):
     """Rank the ``k`` non-source vertices most reliably connected to the sources."""
 
     kind: ClassVar[str] = "top-k"
-    pool_usage: ClassVar[str] = "always"
 
     sources: Tuple[Vertex, ...]
     k: int
@@ -1011,7 +1028,6 @@ class ClusteringQuery(Query):
     """
 
     kind: ClassVar[str] = "clustering"
-    pool_usage: ClassVar[str] = "always"
 
     num_clusters: int
     samples: Optional[int] = None

@@ -32,10 +32,8 @@ Reproducibility contracts (two, by construction path):
   engine-managed path) are sampled in fixed-size **chunks** of
   :data:`WORLD_CHUNK_SIZE` worlds; chunk ``j`` draws its worlds from an
   independent generator seeded with :func:`chunk_seed`.  Because every
-  chunk re-derives its own seed, disjoint chunk ranges can be sampled on
-  different workers in any order and reassembled into the exact pool a
-  single process would build — the property the parallel executor
-  (:mod:`repro.engine.parallel`) relies on for bit-identical results.
+  chunk re-derives its own seed, a pool seed names the same worlds in
+  every process, and a pool's first chunks do not depend on its size.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     Hashable,
-    Iterable,
     Iterator,
     List,
     NamedTuple,
@@ -70,7 +67,6 @@ __all__ = [
     "WorldPool",
     "chunk_seed",
     "chunk_spans",
-    "sample_world_chunks",
 ]
 
 Vertex = Hashable
@@ -106,39 +102,13 @@ def chunk_spans(
 ) -> List[Tuple[int, int]]:
     """The ``(chunk_index, count)`` spans covering ``samples`` worlds in order.
 
-    Every chunk holds ``chunk_size`` worlds except possibly the last.  The
-    spans are the unit of work the parallel executor distributes: any
-    partition of them, sampled anywhere, reassembles (sorted by chunk
-    index) into the serial pool.
+    Every chunk holds ``chunk_size`` worlds except possibly the last.
     """
     check_positive_int(samples, "samples")
     check_positive_int(chunk_size, "chunk_size")
     return [
         (index, min(chunk_size, samples - start))
         for index, start in enumerate(range(0, samples, chunk_size))
-    ]
-
-
-def sample_world_chunks(
-    graph: "UncertainGraph",
-    *,
-    seed: int,
-    spans: Iterable[Tuple[int, int]],
-) -> List[Tuple[int, List[Tuple[int, ...]]]]:
-    """Sample the given chunk ``spans`` of the pool seeded with ``seed``.
-
-    This is the worker-side primitive of parallel pool construction: each
-    shard samples a disjoint subset of :func:`chunk_spans` and the parent
-    concatenates the returned ``(chunk_index, labels)`` pairs in chunk
-    order to obtain the exact pool :meth:`WorldPool.from_seed` builds.
-    Sampling runs on the compiled kernel
-    (:meth:`~repro.graph.compiled.CompiledGraph.sample_component_labels`),
-    which preserves the historical uniform stream and labels exactly.
-    """
-    compiled = compile_graph(graph)
-    return [
-        (index, compiled.sample_component_labels(count, random.Random(chunk_seed(seed, index))))
-        for index, count in spans
     ]
 
 
@@ -197,8 +167,8 @@ class WorldPool:
         Seed or generator for the draws (one uniform draw per non-loop
         edge, in edge-id order, from one sequential stream — the
         historical ``repro.analysis`` contract).  Engine-managed pools use
-        :meth:`from_seed` instead, whose chunked scheme is stable under
-        parallel sharding.
+        :meth:`from_seed` instead, whose chunked scheme ties every world to
+        the pool seed alone.
     seed:
         Optional bookkeeping tag recording the integer seed this pool was
         built from (``None`` for pools built from a live generator).
@@ -245,7 +215,7 @@ class WorldPool:
         self._columns: List[Tuple[int, ...]] = columns
 
     # ------------------------------------------------------------------
-    # Alternative constructors (the parallel-stable seeded scheme)
+    # Alternative constructors (the chunked seeded scheme)
     # ------------------------------------------------------------------
     @classmethod
     def from_seed(
@@ -259,9 +229,8 @@ class WorldPool:
         """Build the pool of ``samples`` worlds the seeded scheme defines.
 
         Worlds are drawn chunk-by-chunk (:func:`chunk_spans`,
-        :func:`chunk_seed`), so the result is identical whether the chunks
-        are sampled here sequentially or on parallel workers and
-        reassembled (:func:`sample_world_chunks` + :meth:`from_labels`).
+        :func:`chunk_seed`): chunk ``j`` depends only on ``seed`` and
+        ``j``, never on ``samples`` or on the chunks before it.
         """
         check_positive_int(samples, "samples")
         compiled = compile_graph(graph)
@@ -270,35 +239,6 @@ class WorldPool:
             worlds.extend(
                 compiled.sample_component_labels(count, random.Random(chunk_seed(seed, index)))
             )
-        return cls._from_state(compiled, worlds, seed)
-
-    @classmethod
-    def from_labels(
-        cls,
-        graph: "UncertainGraph",
-        labels: Sequence[Sequence[int]],
-        *,
-        seed: Optional[int] = None,
-    ) -> "WorldPool":
-        """Wrap precomputed per-world component labellings in a pool.
-
-        ``labels`` must hold one labelling per world, each covering every
-        vertex of ``graph`` in iteration order — exactly what
-        :func:`sample_world_chunks` returns.  Used by the parallel
-        executor to reassemble a pool from shard-sampled chunks and to
-        hand a parent-built pool to worker processes without resampling.
-        """
-        compiled = compile_graph(graph)
-        worlds = [tuple(labelling) for labelling in labels]
-        if not worlds:
-            raise ConfigurationError("a world pool needs at least one world")
-        expected = compiled.num_vertices
-        for position, labelling in enumerate(worlds):
-            if len(labelling) != expected:
-                raise ConfigurationError(
-                    f"world {position} labels {len(labelling)} vertices, "
-                    f"expected {expected} (the pooled graph's vertex count)"
-                )
         return cls._from_state(compiled, worlds, seed)
 
     @classmethod
@@ -314,12 +254,10 @@ class WorldPool:
 
         ``columns`` must hold one per-world label column per vertex of
         ``graph`` in iteration order — the pool's native storage layout
-        (the transpose of what :meth:`from_labels` takes; :attr:`labels`
-        gives the row-major view back).  Because the columns are adopted
-        as-is, this skips the row-to-column transpose ``from_labels``
-        pays, which matters on the snapshot warm-start path
-        (:mod:`repro.service.snapshot`) where the columns arrive straight
-        from disk and the whole point is loading faster than resampling.
+        (:attr:`labels` gives the row-major view back).  The columns are
+        adopted as-is, which matters on the snapshot warm-start path
+        (:mod:`repro.service.snapshot`) where they arrive straight from
+        disk and the whole point is loading faster than resampling.
         """
         check_positive_int(samples, "samples")
         compiled = compile_graph(graph)
@@ -354,10 +292,7 @@ class WorldPool:
     def labels(self) -> List[Tuple[int, ...]]:
         """The per-world component labellings (one tuple per world).
 
-        Exposed so the parallel executor can ship a built pool to worker
-        processes (:meth:`from_labels` on the other side) instead of
-        resampling it per worker.  Rows are reassembled from the
-        column-major storage on access.
+        Rows are reassembled from the column-major storage on access.
         """
         if not self._columns:
             return [()] * self._num_worlds

@@ -6,7 +6,7 @@ Usage::
     python -m repro.experiments figure3 --samples 2000 --max-width 1000
     python -m repro.experiments figure3 --backend sampling
     python -m repro.experiments queries --query-kind search
-    python -m repro.experiments queries --preset quick --workers 4
+    python -m repro.experiments queries --preset quick
     python -m repro.experiments all --preset quick
     python -m repro.experiments table3 --preset paper   # very slow
 
@@ -71,8 +71,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["seed"] = args.seed
     if getattr(args, "backend", None) is not None:
         overrides["backend"] = args.backend
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
     if overrides:
         config = config.with_overrides(**overrides)
     return config
@@ -99,16 +97,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--max-width", type=int, default=None, help="override S2BDD width w")
     parser.add_argument("--searches", type=int, default=None, help="override searches per cell")
     parser.add_argument("--seed", type=int, default=None, help="override the base RNG seed")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes for batch experiments (the 'queries' "
-            "workloads); results are bit-identical to --workers 1"
-        ),
-    )
     parser.add_argument(
         "--backend",
         default=None,

@@ -46,11 +46,6 @@ class ExperimentConfig:
     backend:
         Registry name of the primary reliability method (the "Pro" columns
         of the tables); resolved through :mod:`repro.engine.registry`.
-    workers:
-        Worker processes the batch-style experiments (the ``queries``
-        runner) shard their workloads over (see
-        :mod:`repro.engine.parallel`); ``1`` runs serially.  Routed from
-        the CLI's ``--workers`` flag into every engine the runners build.
     """
 
     samples: int = 2_000
@@ -65,7 +60,6 @@ class ExperimentConfig:
     seed: int = 2019
     exact_bdd_node_limit: int = 200_000
     backend: str = "s2bdd"
-    workers: int = 1
 
     def __post_init__(self) -> None:
         check_positive_int(self.samples, "samples")
@@ -73,7 +67,6 @@ class ExperimentConfig:
         check_positive_int(self.num_searches, "num_searches")
         check_positive_int(self.accuracy_searches, "accuracy_searches")
         check_positive_int(self.accuracy_repeats, "accuracy_repeats")
-        check_positive_int(self.workers, "workers")
         require_backend(self.backend)
 
     @classmethod
@@ -121,6 +114,5 @@ class ExperimentConfig:
             samples=self.samples,
             max_width=self.max_width,
             exact_bdd_node_limit=self.exact_bdd_node_limit,
-            workers=self.workers,
         )
         return base.replace(**overrides) if overrides else base

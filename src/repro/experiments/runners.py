@@ -596,11 +596,6 @@ def run_queries(
     kind (``--query-kind`` on the CLI) is generated from the same random
     searches and answered in one batch; the sampling-driven kinds share
     the session's world pool, which the table's footer reports.
-
-    With ``config.workers > 1`` (the CLI's ``--workers`` flag) every batch
-    is sharded over that many worker processes through the parallel
-    executor — the results are bit-identical to a serial run, so the flag
-    only changes the timing columns.
     """
     config = config or ExperimentConfig()
     dataset = dataset or config.large_datasets[0]
@@ -638,7 +633,6 @@ def run_queries(
         f"{stats.world_pool_hits} cache hits, {stats.world_pools_evicted} "
         f"evicted, {stats.worlds_sampled} worlds "
         f"sampled for {stats.queries_served} queries"
-        + (f"; {config.workers} worker processes" if config.workers > 1 else "")
     )
     return table
 

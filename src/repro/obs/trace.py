@@ -18,9 +18,6 @@ Traces cross process and host boundaries explicitly:
 * **HTTP hops** (client → server, router → replica) propagate the trace
   id in the ``X-Repro-Trace`` header (:func:`format_header` /
   :func:`parse_header`), so one id spans router → replica → engine.
-* **Worker shards** (:mod:`repro.engine.parallel`) measure their own
-  wall/CPU time and ship it back with the stats delta; the parent
-  stitches each shard in via :meth:`Trace.add_span`.
 * **The coalescer's batcher thread** evaluates under its own collection
   trace; the service attaches those spans to every waiter's response
   (see :meth:`ReliabilityService.query`).
@@ -181,28 +178,6 @@ class Trace:
                 self._dropped += 1
                 return
             self._spans.append(Span(name, wall0 - self._start, wall, cpu))
-
-    def add_span(
-        self,
-        name: str,
-        wall_seconds: float,
-        cpu_seconds: Optional[float] = None,
-        *,
-        start_offset: Optional[float] = None,
-    ) -> None:
-        """Stitch an externally measured span in (worker shard, replica).
-
-        Without ``start_offset`` the span is anchored at the current
-        offset into this trace — good enough for "this stage happened
-        around now and took this long".
-        """
-        if start_offset is None:
-            start_offset = time.perf_counter() - self._start
-        with self._lock:
-            if len(self._spans) >= _MAX_SPANS:
-                self._dropped += 1
-                return
-            self._spans.append(Span(name, start_offset, wall_seconds, cpu_seconds))
 
     def extend(self, spans: Iterable[Span]) -> None:
         """Stitch a batch of prebuilt spans in (coalescer hand-off)."""

@@ -18,8 +18,7 @@ prepared graphs, with cross-request reuse the engine alone cannot do.
   deterministic-seed evaluation,
 * :mod:`repro.service.coalesce` — :class:`SingleFlightBatcher`:
   concurrent identical requests share one computation, and distinct
-  pending requests for the same graph fold into one
-  ``query_many(workers=N)`` micro-batch,
+  pending requests for the same graph fold into one micro-batch,
 * :mod:`repro.service.core` — :class:`ReliabilityService`: the blocking
   serving facade combining the three,
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
@@ -35,7 +34,7 @@ prepared graphs, with cross-request reuse the engine alone cannot do.
 
 Run a server from the command line (or the ``repro-serve`` script)::
 
-    python -m repro.service --port 8350 --graphs karate,tokyo --workers 2
+    python -m repro.service --port 8350 --graphs karate,tokyo
 
 Example (in-process)
 --------------------

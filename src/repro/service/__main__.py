@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.service --port 8350 --graphs karate
     python -m repro.service --graphs karate,tokyo --backend sampling \
-        --samples 1000 --workers 2
+        --samples 1000
     python -m repro.service --graph-file mygraph=edges.txt --port 0
     python -m repro.service --snapshot snap/ --shared-store results.sqlite
 
@@ -101,10 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=int, default=None,
         help="engine seed (default: the service's pinned deterministic seed)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes each micro-batch is sharded over",
     )
     parser.add_argument(
         "--max-batch", type=int, default=64, help="largest micro-batch size"
@@ -219,7 +215,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             catalog,
             cache=cache,
             store=store,
-            batch_workers=args.workers,
             max_batch=args.max_batch,
             allow_updates=allow_updates,
             slow_query_log=(
@@ -244,8 +239,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"serving {', '.join(catalog.names())} on http://{server.address} "
         f"(backend {catalog.config.backend!r}, s={catalog.config.samples}, "
         f"cache={'off' if cache is None else 'on'}, "
-        f"updates={'on' if allow_updates else 'off'}, "
-        f"batch workers={args.workers})",
+        f"updates={'on' if allow_updates else 'off'})",
         flush=True,
     )
     if args.snapshot is not None:

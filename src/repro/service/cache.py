@@ -11,7 +11,7 @@ Because the service evaluates every request with a pinned seed schedule
 (``seed_index=0`` on a deterministically seeded engine), that key fully
 determines the answer — a cached hit is bit-identical (timing fields
 aside) to a fresh evaluation, which tests and the benchmark's parity gate
-verify through :func:`repro.engine.parallel.results_checksum`.
+verify through :func:`repro.engine.queries.results_checksum`.
 
 Entries are evicted least-recently-used once the configured byte budget
 (or entry count) is exceeded, and lazily expired when a TTL is set.  All

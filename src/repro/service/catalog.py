@@ -27,7 +27,6 @@ import hashlib
 import json
 import struct
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -261,28 +260,6 @@ class GraphCatalog:
                 )
             self._entries[name] = entry
         return entry
-
-    def register_dataset(
-        self, key: str, *, name: Optional[str] = None, scale: str = "bench"
-    ) -> CatalogEntry:
-        """Deprecated alias for ``register(name, DatasetSource(key, scale))``."""
-        warnings.warn(
-            "GraphCatalog.register_dataset() is deprecated; use "
-            "register(name, DatasetSource(key, scale=...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.register(name or key, DatasetSource(key, scale=scale))
-
-    def register_file(self, name: str, path: str) -> CatalogEntry:
-        """Deprecated alias for ``register(name, FileSource(path))``."""
-        warnings.warn(
-            "GraphCatalog.register_file() is deprecated; use "
-            "register(name, FileSource(path)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.register(name, FileSource(path))
 
     # ------------------------------------------------------------------
     # Updates

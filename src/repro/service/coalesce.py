@@ -9,15 +9,12 @@ engine, both provided by :class:`SingleFlightBatcher`:
   future instead of enqueueing a second evaluation.
 * **Micro-batching**: *distinct* pending requests for the same engine
   group (graph + config) are drained together and handed to the evaluator
-  as one batch, which the service answers through a single
-  ``engine.query_many(..., workers=N)`` call — so a burst of traffic
-  exercises the parallel executor instead of trickling through one query
-  at a time.
+  as one batch, so a burst of traffic takes the engine's lock and its
+  cache-write pass once per drain instead of once per request.
 
 Batching never changes answers: the service pins every query to seed
-index 0 (see :meth:`ReliabilityEngine.query_many`'s ``seed_indices``), so
-a query's result is the same whether it runs alone, in a batch of 40, or
-on 4 worker processes.
+index 0 (see :meth:`ReliabilityEngine.query`'s ``seed_index``), so a
+query's result is the same whether it runs alone or in a batch of 40.
 """
 
 from __future__ import annotations
@@ -92,8 +89,7 @@ class SingleFlightBatcher:
     groups, preserving submission order within a group).  Requests
     arriving while the evaluator is busy accumulate and are folded into
     the next drain — the longer an evaluation takes, the bigger the next
-    batch, which is exactly the load shape ``query_many(workers=N)``
-    wants.
+    batch.
     """
 
     def __init__(

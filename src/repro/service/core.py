@@ -9,14 +9,13 @@ Determinism contract
 Every request is evaluated as if it were the *first query of a fresh
 session*: the engine's config carries a pinned integer seed (see
 :class:`~repro.service.catalog.GraphCatalog`) and every query is executed
-with seed index 0 (``seed_indices=[0] * n`` through
-:meth:`ReliabilityEngine.query_many`).  An answer is therefore a pure
-function of the cache key triple::
+with seed index 0 (``engine.query(q, seed_index=0)``).  An answer is
+therefore a pure function of the cache key triple::
 
     (graph fingerprint, query.canonical_key(), config.fingerprint())
 
 so a cached payload is bit-identical (timing fields aside, per
-:func:`~repro.engine.parallel.results_checksum`) to recomputing — the
+:func:`~repro.engine.queries.results_checksum`) to recomputing — the
 property the cache, the coalescer, and the micro-batcher all rely on, and
 the one the benchmark's parity gate enforces.
 """
@@ -29,8 +28,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.engine.deltas import DeltaOp
-from repro.engine.parallel import results_checksum
-from repro.engine.queries import Query, query_from_dict
+from repro.engine.queries import Query, query_from_dict, results_checksum
 from repro.exceptions import ConfigurationError, UpdateRejectedError
 from repro.obs import get_registry
 from repro.obs.trace import SlowQueryLog, activate, current_trace, new_trace, span
@@ -39,7 +37,6 @@ from repro.service.catalog import GraphCatalog
 from repro.service.coalesce import SingleFlightBatcher
 from repro.service.store import SharedResultStore
 from repro.utils.timers import Timer
-from repro.utils.validation import check_positive_int
 
 __all__ = ["ReliabilityService", "ServiceStats"]
 
@@ -85,10 +82,6 @@ class ReliabilityService:
         A :class:`ResultCache`, or ``None`` to disable caching (the
         benchmark's cache-off mode).  Defaults to a fresh cache with
         default bounds.
-    batch_workers:
-        Worker processes each micro-batch is sharded over
-        (``engine.query_many(workers=batch_workers)``); ``1`` evaluates
-        batches serially in-process.
     max_batch:
         Largest micro-batch one evaluator call may receive.
     store:
@@ -122,19 +115,16 @@ class ReliabilityService:
         *,
         cache: Any = _DEFAULT_CACHE,
         store: Optional[SharedResultStore] = None,
-        batch_workers: int = 1,
         max_batch: int = 64,
         allow_updates: bool = True,
         slow_query_log: Optional[SlowQueryLog] = None,
         registry: Any = None,
     ) -> None:
-        check_positive_int(batch_workers, "batch_workers")
         self._catalog = catalog
         self._cache: Optional[ResultCache] = (
             ResultCache() if cache is _DEFAULT_CACHE else cache
         )
         self._store = store
-        self._batch_workers = batch_workers
         self._config_fingerprint = catalog.config.fingerprint()
         self._stats = ServiceStats()
         self._stats_lock = threading.Lock()
@@ -467,11 +457,11 @@ class ReliabilityService:
     def _evaluate_group(self, group: str, items: Sequence[Any]) -> List[Any]:
         """Evaluate one drained micro-batch on the group's shared engine.
 
-        Runs on the batcher thread.  The whole batch goes through one
-        ``query_many(workers=batch_workers, seed_indices=[0]*n)`` call;
-        if that raises (one bad query fails a shared batch), each query is
-        retried individually so failures stay per-request.  Successful
-        payloads are stored in the cache before their futures resolve.
+        Runs on the batcher thread.  Each query is evaluated once, through
+        ``engine.query(q, seed_index=0)``; a query that raises yields its
+        exception as that request's outcome, so failures stay
+        per-request.  Successful payloads are stored in the cache before
+        their futures resolve.
 
         Holds the update lock end to end, and keys cache writes by the
         fingerprint read *inside* it, not the one the request was
@@ -493,27 +483,16 @@ class ReliabilityService:
         # every waiter through the outcome (the cached payload stays free
         # of timing data).
         batch_trace = new_trace()
-        results: Optional[List[Any]] = None
+        results: List[Any] = []
         with activate(batch_trace):
-            try:
-                results = engine.query_many(
-                    queries,
-                    workers=self._batch_workers,
-                    seed_indices=[0] * len(queries),
-                )
-            except Exception:
-                results = None
-            if results is None:
-                results = []
-                for query in queries:
-                    try:
-                        results.append(engine.query(query, seed_index=0))
-                    except Exception as error:
-                        results.append(error)
+            for query in queries:
+                try:
+                    results.append(engine.query(query, seed_index=0))
+                except Exception as error:
+                    results.append(error)
         spans = batch_trace.spans() if batch_trace is not None else []
-        # Count real engine work, not intent: the fallback path re-runs a
-        # failed batch query by query, and the engine's own counter is the
-        # one source that sees both attempts.
+        # Count real engine work, not intent: a query that fails after
+        # drawing its seed still cost an evaluation.
         with self._stats_lock:
             self._stats.engine_evaluations += engine.stats.queries_served - before
         outcomes: List[Any] = []

@@ -40,7 +40,7 @@ and verified on load, so a flipped bit fails loudly
 wrong answers; the rebuilt graph is additionally re-fingerprinted against
 the recorded content fingerprint, and the compiled arrays are compared
 against a fresh compile of the rebuilt graph.  The manifest also records a **probe checksum** — a
-:func:`~repro.engine.parallel.results_checksum` over a small query
+:func:`~repro.engine.queries.results_checksum` over a small query
 workload evaluated at save time — which ``load_catalog_snapshot(...,
 verify=True)`` re-evaluates to prove the warm engine is bit-identical to
 the one that wrote the snapshot.
@@ -65,8 +65,13 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.engine.config import EstimatorConfig
 from repro.engine.engine import ReliabilityEngine
-from repro.engine.parallel import results_checksum
-from repro.engine.queries import KTerminalQuery, Query, ThresholdQuery, query_from_dict
+from repro.engine.queries import (
+    KTerminalQuery,
+    Query,
+    ThresholdQuery,
+    query_from_dict,
+    results_checksum,
+)
 from repro.engine.worlds import WORLD_CHUNK_SIZE, WorldPool
 from repro.exceptions import SnapshotError
 from repro.graph.compiled import compile_graph
@@ -487,7 +492,7 @@ def load_catalog_snapshot(path: str, *, verify: bool = False) -> "GraphCatalog":
     compiled form cross-checked against the stored arrays, and world pools
     installed — a warm start that answers its first query without any
     preprocessing.  With ``verify=True`` the recorded probe workload is
-    re-evaluated and its :func:`~repro.engine.parallel.results_checksum`
+    re-evaluated and its :func:`~repro.engine.queries.results_checksum`
     compared against the one written at save time, proving bit-identity
     before the catalog serves anything.
 

@@ -51,8 +51,9 @@ def spawn_rng(rng: random.Random, label: str = "") -> random.Random:
     old ``hash(label)`` mixing silently made every spawned stream — and
     with it every preprocessed S²BDD estimate — irreproducible across
     processes, despite a fixed seed.  Cross-process determinism is what
-    the parallel executor's parity checksums and the service's cache-key
-    contract ("an answer is a pure function of the cache key") rely on.
+    the pinned golden checksums, snapshot warm starts, and the service's
+    cache-key contract ("an answer is a pure function of the cache key")
+    rely on.
     """
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     seed = rng.getrandbits(64) ^ int.from_bytes(digest[:8], "big")

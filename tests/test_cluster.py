@@ -320,6 +320,7 @@ class TestCluster:
         expected = reference_service.query("karate", query)["checksum"]
         victim = client.query("karate", query).raw["served_by"]
         old_endpoint = supervisor.live_endpoints()[victim]
+        dead = supervisor._handles[victim].process
 
         supervisor.notify_failure(victim)  # kill the owning replica
         deadline = time.monotonic() + 5.0
@@ -341,6 +342,11 @@ class TestCluster:
         assert supervisor.restart_counts()[victim] >= 1
         assert supervisor.live_endpoints()[victim] != old_endpoint
         assert client.query("karate", query).checksum == expected
+        # The dead replica's stdout pipe is closed once drained, not leaked.
+        deadline = time.monotonic() + 5.0
+        while not dead.stdout.closed and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert dead.stdout.closed
 
 
 # ----------------------------------------------------------------------

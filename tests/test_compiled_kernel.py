@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.sampling import SamplingEstimator
 from repro.core.estimators import EstimatorKind
-from repro.engine.worlds import WorldPool, chunk_seed, chunk_spans, sample_world_chunks
+from repro.engine.worlds import WorldPool, chunk_seed, chunk_spans
 from repro.exceptions import ConfigurationError
 from repro.graph.compiled import (
     CompiledGraph,
@@ -376,17 +376,13 @@ class TestSamplerParity:
 
     def test_chunked_scheme_bit_identical_to_pre_kernel(self):
         graph = random_connected_graph(9, 16, rng=6)
-        spans = chunk_spans(600)
-        keyed = sample_world_chunks(graph, seed=33, spans=spans)
         reference = [
             labelling
-            for index, count in spans
+            for index, count in chunk_spans(600)
             for labelling in reference_sample_labels(
                 graph, count, random.Random(chunk_seed(33, index))
             )
         ]
-        assembled = [labelling for _, chunk in keyed for labelling in chunk]
-        assert assembled == reference
         assert WorldPool.from_seed(graph, samples=600, seed=33).labels == reference
 
     def test_partition_equivalent_to_dict_union_find_sampler(self):

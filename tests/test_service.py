@@ -3,7 +3,7 @@
 Covers the catalog, the result cache, the single-flight micro-batcher,
 the blocking service core (including its bit-exactness contract: a cached
 answer equals a fresh deterministic-seed engine evaluation), the pinned
-``seed_indices`` engine plumbing the service rides on, and the JSON/HTTP
+seed-index engine plumbing the service rides on, and the JSON/HTTP
 front-end end to end — server + client on an ephemeral port, error
 mapping, and 429 admission control.
 """
@@ -25,6 +25,7 @@ from repro.engine.queries import (
 )
 from repro.exceptions import ConfigurationError, TerminalError
 from repro.service import (
+    DatasetSource,
     GraphCatalog,
     ReliabilityService,
     ResultCache,
@@ -115,8 +116,7 @@ class TestGraphCatalog:
 
     def test_register_dataset_and_unregister(self, config):
         cat = GraphCatalog(config)
-        with pytest.warns(DeprecationWarning, match="register_dataset"):
-            cat.register_dataset("karate")
+        cat.register("karate", DatasetSource("karate"))
         cat.engine("karate")
         cat.unregister("karate")
         assert cat.names() == []
@@ -314,16 +314,17 @@ class TestSeedIndices:
         serial = self._fresh(karate).query_many(
             self.QUERIES, seed_indices=[0] * len(self.QUERIES)
         )
-        sharded = self._fresh(karate).query_many(
-            self.QUERIES, workers=2, seed_indices=[0] * len(self.QUERIES)
-        )
-        assert results_checksum(serial) == results_checksum(sharded)
+        with pytest.warns(DeprecationWarning, match="workers"):
+            ignored = self._fresh(karate).query_many(
+                self.QUERIES, workers=2, seed_indices=[0] * len(self.QUERIES)
+            )
+        assert results_checksum(serial) == results_checksum(ignored)
 
     def test_pinned_s2bdd_batch_matches_fresh_first_queries(self, karate):
         queries = self.QUERIES[:2]
         config = EstimatorConfig(backend="s2bdd", samples=200, max_width=128, rng=7)
         batched = ReliabilityEngine(config).prepare(karate).query_many(
-            queries, workers=2, seed_indices=[0, 0]
+            queries, seed_indices=[0, 0]
         )
         singles = [
             ReliabilityEngine(config).prepare(karate).query(query)
@@ -415,13 +416,32 @@ class TestReliabilityService:
         assert outcomes[1]["error_type"] == "TerminalError"
         assert "error" in outcomes[2]
 
+    def test_bad_query_costs_its_batch_mates_no_second_evaluation(self, catalog):
+        """Every request of a micro-batch is evaluated once, even when one fails."""
+        with ReliabilityService(catalog, cache=None) as service:
+            outcomes = service.query_batch(
+                "karate",
+                [
+                    KTerminalQuery(terminals=(1, 34)),
+                    KTerminalQuery(terminals=(2, 30)),
+                    KTerminalQuery(terminals=(999,)),
+                ],
+            )
+            stats = service.stats()
+        assert [outcome.get("error_type") for outcome in outcomes] == [
+            None,
+            None,
+            "TerminalError",
+        ]
+        assert stats["service"]["engine_evaluations"] == 3
+
     def test_batched_evaluation_matches_fresh_singles(self, catalog, karate):
         queries = [
             KTerminalQuery(terminals=(1, 34)),
             ThresholdQuery(terminals=(2, 30), threshold=0.4),
             ReliabilitySearchQuery(sources=(1,), threshold=0.5),
         ]
-        with ReliabilityService(catalog, batch_workers=2) as service:
+        with ReliabilityService(catalog) as service:
             outcomes = service.query_batch("karate", queries)
         for query, outcome in zip(queries, outcomes):
             fresh = ReliabilityEngine(catalog.config).prepare(karate).query(query)
@@ -481,7 +501,6 @@ class TestWorldPoolEviction:
             engine.world_pool(samples=samples)
         assert engine.stats.world_pools_built == 12
         assert engine.stats.world_pools_evicted == 12 - 8  # bound is 8/graph
-        assert engine.stats.snapshot().world_pools_evicted == 4
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.engine.queries import (
     ReliabilitySearchQuery,
     TopKReliableVerticesQuery,
 )
+from repro.engine.worlds import chunk_seed, chunk_spans
 from repro.exceptions import ConfigurationError, TerminalError
 from repro.graph.generators import random_connected_graph
 from repro.graph.uncertain_graph import UncertainGraph
@@ -247,3 +248,70 @@ class TestCompiledPathParity:
         certain = UncertainGraph.from_edge_list([(0, 1, 1.0), (1, 2, 0.5)])
         pool = WorldPool(certain, samples=64, rng=3)
         assert pool.reachability_frequencies((0, 1)) == pool.reachability_frequencies((0,))
+
+
+class TestChunkedWorlds:
+    """The seeded scheme: chunk ``j`` of pool ``seed`` depends on nothing else.
+
+    This is what a pool seed *means*; every pinned checksum over pooled
+    answers depends on it.
+    """
+
+    @staticmethod
+    def small_graph():
+        return random_connected_graph(14, 24, rng=3)
+
+    def test_chunk_seed_deterministic_and_distinct(self):
+        seeds = [chunk_seed(99, index) for index in range(50)]
+        assert seeds == [chunk_seed(99, index) for index in range(50)]
+        assert len(set(seeds)) == 50
+        assert chunk_seed(99, 0) != chunk_seed(100, 0)
+        with pytest.raises(ConfigurationError):
+            chunk_seed(99, -1)
+
+    def test_chunk_spans_cover_the_pool_in_order(self):
+        spans = chunk_spans(600, 256)
+        assert spans == [(0, 256), (1, 256), (2, 88)]
+        assert sum(count for _, count in spans) == 600
+        assert chunk_spans(256, 256) == [(0, 256)]
+        with pytest.raises(ConfigurationError):
+            chunk_spans(0)
+
+    def test_from_seed_chunks_are_prefix_stable(self):
+        """A bigger pool extends a smaller one; each chunk has its own seed."""
+        from repro.graph.compiled import compile_graph
+
+        graph = self.small_graph()
+        full = WorldPool.from_seed(graph, samples=600, seed=42).labels
+        assert WorldPool.from_seed(graph, samples=512, seed=42).labels == full[:512]
+        assert WorldPool.from_seed(graph, samples=256, seed=42).labels == full[:256]
+        tail = compile_graph(graph).sample_component_labels(
+            88, random.Random(chunk_seed(42, 2))
+        )
+        assert full[512:] == tail
+
+    def test_from_seed_deterministic_and_chunk_size_invariant_checks(self):
+        graph = self.small_graph()
+        first = WorldPool.from_seed(graph, samples=300, seed=7)
+        second = WorldPool.from_seed(graph, samples=300, seed=7)
+        assert first.labels == second.labels
+        assert first.seed == 7
+        assert WorldPool.from_seed(graph, samples=300, seed=8).labels != first.labels
+
+    def test_engine_seeded_pool_uses_the_chunked_scheme(self):
+        config = EstimatorConfig(backend="sampling", samples=250, max_width=128, rng=11)
+        engine = ReliabilityEngine(config).prepare(self.small_graph())
+        pool = engine.world_pool()
+        reference = WorldPool.from_seed(
+            self.small_graph(), samples=250, seed=engine.pool_seed()
+        )
+        assert pool.labels == reference.labels
+
+    def test_live_rng_pools_keep_the_sequential_stream(self):
+        """The historical analysis contract: one stream, edge order."""
+        graph = self.small_graph()
+        sequential = WorldPool(graph, samples=40, rng=random.Random(5))
+        again = WorldPool(graph, samples=40, rng=random.Random(5))
+        assert sequential.labels == again.labels
+        # ...and it is intentionally a different scheme than from_seed.
+        assert sequential.labels != WorldPool.from_seed(graph, samples=40, seed=5).labels
