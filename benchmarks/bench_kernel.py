@@ -21,17 +21,18 @@ checks, that the kernel's answers are **bit-identical**:
 * ``query_kinds`` — all six typed query kinds through the engine, on both
   the ``sampling`` and ``s2bdd`` backends, checksummed against constants
   recorded on the pre-kernel implementation.  The ``s2bdd`` backend runs a
-  *repeated* two-pass workload in two configurations — the legacy dict
-  construction with the diagram cache off (the pre-interning behaviour)
-  and the default interned-plus-cached path — splitting wall-clock into
-  ``construction_seconds`` / ``evaluation_seconds`` via the
-  ``repro_s2bdd_construction_seconds`` histogram and proving all four
-  passes bit-identical.
+  *repeated* two-pass workload in two configurations — the dict-keyed
+  reference construction (``tests/reference/s2bdd_dict.py``, patched in
+  for ``S2BDD.construct``) with the diagram cache off, i.e. the
+  pre-interning behaviour, and the default interned-plus-cached path —
+  splitting wall-clock into ``construction_seconds`` /
+  ``evaluation_seconds`` via the ``repro_s2bdd_construction_seconds``
+  histogram and proving all four passes bit-identical.
 
 The headline gates are per graph: ``combined_speedup`` — wall-clock of
 (pool construction + connectivity sweep) on the dict-based path divided by
 the same work on the kernel — plus the s2bdd ``construction_speedup``
-(legacy construction seconds over the repeated workload divided by the
+(reference construction seconds over the repeated workload divided by the
 interned+cached path's; ``--min-construction-speedup``, default 5.0) and
 the cached-pass check (second-pass construction must cost at most 10% of
 the cold pass).  Exit status is non-zero when any parity check fails or
@@ -67,6 +68,10 @@ from repro.experiments.workloads import (
 )
 from repro.obs import get_registry
 from repro.utils.union_find import UnionFind
+
+# The dict-keyed reference construction lives with the tests.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.reference.s2bdd_dict import dict_construct  # noqa: E402
 
 #: Query kinds of the engine parity workload.
 WORKLOAD_KINDS = ("k-terminal", "threshold", "search", "top-k", "clustering", "subgraph")
@@ -385,7 +390,7 @@ def bench_s2bdd_completions(graph, completions: int, seed: int) -> Dict:
     vertices = list(graph.vertices())
     terminals = (vertices[0], vertices[len(vertices) // 3], vertices[-1])
     bdd = S2BDD(graph, terminals, max_width=16, rng=random.Random(seed))
-    construction = bdd._construct(samples=completions)
+    construction = bdd.construct(completions)
     strata = construction.strata
     if not strata:
         return {"skipped": "construction stayed exact (no strata)"}
@@ -471,20 +476,19 @@ def bench_query_kinds(dataset: str, graph, samples: int, num_searches: int) -> D
     # pass 1 exactly.
     repeat_seeds = list(range(len(queries)))
     legacy_engine = ReliabilityEngine(
-        EstimatorConfig(
-            backend="s2bdd",
-            samples=samples,
-            rng=7,
-            s2bdd_interned=False,
-            s2bdd_cache=False,
-        )
+        EstimatorConfig(backend="s2bdd", samples=samples, rng=7, s2bdd_cache=False)
     ).prepare(graph)
-    legacy_results, legacy_elapsed, legacy_cold = _timed_workload(
-        legacy_engine, queries
-    )
-    legacy_repeat_results, legacy_repeat_elapsed, legacy_warm = _timed_workload(
-        legacy_engine, queries, repeat_seeds
-    )
+    product_construct = S2BDD.construct
+    S2BDD.construct = dict_construct
+    try:
+        legacy_results, legacy_elapsed, legacy_cold = _timed_workload(
+            legacy_engine, queries
+        )
+        legacy_repeat_results, legacy_repeat_elapsed, legacy_warm = _timed_workload(
+            legacy_engine, queries, repeat_seeds
+        )
+    finally:
+        S2BDD.construct = product_construct
 
     engine = ReliabilityEngine(
         EstimatorConfig(backend="s2bdd", samples=samples, rng=7)
@@ -500,17 +504,17 @@ def bench_query_kinds(dataset: str, graph, samples: int, num_searches: int) -> D
     if golden is not None:
         check(
             legacy_checksum == golden,
-            f"{dataset}/s2bdd legacy workload checksum {legacy_checksum} "
-            f"diverges from the pre-kernel reference {golden}",
+            f"{dataset}/s2bdd reference-construction workload checksum "
+            f"{legacy_checksum} diverges from the pre-kernel reference {golden}",
         )
     check(
         checksum == legacy_checksum,
         f"{dataset}/s2bdd interned+cached checksum {checksum} diverges "
-        f"from the legacy dict path {legacy_checksum}",
+        f"from the dict-keyed reference construction {legacy_checksum}",
     )
     check(
         results_checksum(legacy_repeat_results) == legacy_checksum,
-        f"{dataset}/s2bdd legacy repeat pass diverges from its first pass",
+        f"{dataset}/s2bdd reference repeat pass diverges from its first pass",
     )
     check(
         results_checksum(repeat_results) == checksum,
@@ -634,7 +638,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=float,
         default=5.0,
         help="fail when any graph's repeated-workload s2bdd construction "
-        "speedup (legacy dict path vs interned+cached) is below this",
+        "speedup (dict-keyed reference construction vs interned+cached) "
+        "is below this",
     )
     parser.add_argument("--out", default="BENCH_kernel.json", help="output JSON path")
     args = parser.parse_args(argv)
@@ -664,7 +669,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     print(
         "parity: ok (pools, scans, sampling, completions, six query kinds "
-        "on legacy + interned/cached s2bdd, repeated passes)"
+        "on reference + interned/cached s2bdd, repeated passes)"
     )
 
     if report["speedup_failures"]:

@@ -40,11 +40,8 @@ queries share one pool of sampled possible worlds per prepared graph:
 Every reliability method is a named *backend* (``"s2bdd"`` — the paper's
 approach — ``"sampling"``, ``"exact-bdd"``, ``"brute"``) selected through
 ``EstimatorConfig(backend=...)``; see :func:`available_backends` and
-:func:`register_backend` for the registry.  The one-shot helpers
-:func:`estimate_reliability` / :class:`ReliabilityEstimator` remain as
-deprecated shims over the engine (they emit ``DeprecationWarning``), and
-the :mod:`repro.analysis` functions are thin wrappers over the typed
-queries.
+:func:`register_backend` for the registry.  The :mod:`repro.analysis`
+functions are thin wrappers over the typed queries.
 
 To *serve* queries to many clients, the service layer
 (:mod:`repro.service`, imported explicitly) adds a graph catalog, a
@@ -63,10 +60,8 @@ from repro.core import (
     EdgeOrdering,
     EstimatorKind,
     ReliabilityBounds,
-    ReliabilityEstimator,
     ReliabilityResult,
     S2BDD,
-    estimate_reliability,
     exact_reliability,
     reduced_sample_count,
 )
@@ -129,7 +124,6 @@ __all__ = [
     "ReliabilityBackend",
     "ReliabilityBounds",
     "ReliabilityEngine",
-    "ReliabilityEstimator",
     "ReliabilityResult",
     "ReliabilitySearchQuery",
     "ReliableSubgraphQuery",
@@ -146,7 +140,6 @@ __all__ = [
     "available_backends",
     "brute_force_reliability",
     "create_backend",
-    "estimate_reliability",
     "exact_bdd_reliability",
     "exact_reliability",
     "preprocess",

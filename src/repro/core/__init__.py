@@ -13,7 +13,8 @@ estimator:
   estimators,
 * :mod:`repro.core.s2bdd` — the scalable-and-sampling BDD construction
   (generating, merging, deleting, and sampling procedures),
-* :mod:`repro.core.reliability` — the public estimator API.
+* :mod:`repro.core.reliability` — the uniform result type and the exact
+  reliability helper.
 """
 
 from repro.core.bounds import ReliabilityBounds
@@ -23,12 +24,7 @@ from repro.core.estimators import (
     monte_carlo_estimate,
 )
 from repro.core.frontier import EdgeOrdering, FrontierPlan, order_edges
-from repro.core.reliability import (
-    ReliabilityEstimator,
-    ReliabilityResult,
-    estimate_reliability,
-    exact_reliability,
-)
+from repro.core.reliability import ReliabilityResult, exact_reliability
 from repro.core.s2bdd import S2BDD, S2BDDResult
 from repro.core.stratified import reduced_sample_count
 
@@ -37,11 +33,9 @@ __all__ = [
     "EstimatorKind",
     "FrontierPlan",
     "ReliabilityBounds",
-    "ReliabilityEstimator",
     "ReliabilityResult",
     "S2BDD",
     "S2BDDResult",
-    "estimate_reliability",
     "exact_reliability",
     "horvitz_thompson_estimate",
     "monte_carlo_estimate",

@@ -4,38 +4,27 @@ The estimation logic itself lives in the backend layer
 (:mod:`repro.engine.backends`) behind the backend registry
 (:mod:`repro.engine.registry`); the session API for many queries against
 one graph is :class:`repro.engine.ReliabilityEngine`.  This module keeps
-the library's uniform result type, :class:`ReliabilityResult`, plus the
-legacy one-shot surface as thin shims over that layer:
-
-* :class:`ReliabilityEstimator` — *deprecated*: one-shot estimator kept for
-  backward compatibility; prefer :class:`~repro.engine.ReliabilityEngine`,
-* :func:`estimate_reliability` — *deprecated* one-shot convenience wrapper,
-* :func:`exact_reliability` — exact answer via the ``"exact-bdd"`` or
-  ``"brute"`` backend, for when the graph is small enough.
+the library's uniform result type, :class:`ReliabilityResult`, plus
+:func:`exact_reliability` — the exact answer via the ``"exact-bdd"`` or
+``"brute"`` backend, for when the graph is small enough.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence
 
 from repro.core.bounds import ReliabilityBounds
 from repro.core.estimators import EstimatorKind
-from repro.core.frontier import EdgeOrdering
 from repro.core.s2bdd import S2BDDResult
 from repro.engine.config import EstimatorConfig
 from repro.engine.registry import create_backend
 from repro.exceptions import ConfigurationError
-from repro.graph.components import GraphDecomposition
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.preprocess.pipeline import PreprocessResult
-from repro.utils.rng import RandomLike, resolve_rng
 
 __all__ = [
-    "ReliabilityEstimator",
     "ReliabilityResult",
-    "estimate_reliability",
     "exact_reliability",
 ]
 
@@ -175,166 +164,6 @@ class ReliabilityResult:
             estimator=EstimatorKind.coerce(payload["estimator"]),
             **{name: payload[name] for name in scalar_fields},
         )
-
-
-class ReliabilityEstimator:
-    """One-shot estimator for the paper's approach (S²BDD + extension).
-
-    .. deprecated::
-        Kept as a thin shim over the ``"s2bdd"`` backend for backward
-        compatibility (instantiating it emits a :class:`DeprecationWarning`).
-        New code should use :class:`repro.engine.ReliabilityEngine`, which
-        shares one :class:`~repro.engine.config.EstimatorConfig`, caches the
-        2-edge-connected decomposition index across queries, and can answer
-        batches via ``estimate_many`` and typed workloads via ``query``.
-
-    Parameters
-    ----------
-    samples:
-        Sample budget ``s`` (per subproblem; the stratified reduction of
-        Theorem 1 typically uses far fewer).
-    max_width:
-        S²BDD width cap ``w``.
-    estimator:
-        ``"mc"`` (Monte Carlo, default) or ``"ht"`` (Horvitz–Thompson).
-    use_extension:
-        Whether to run the prune/decompose/transform preprocessing.
-    edge_ordering:
-        Edge-ordering strategy for the frontier construction.
-    stratum_mass_cutoff:
-        Construction early-exit threshold forwarded to
-        :class:`~repro.core.s2bdd.S2BDD` (1.0 disables it).
-    rng:
-        Seed or generator for reproducible runs.
-
-    Example
-    -------
-    >>> from repro.graph.generators import road_network_graph
-    >>> graph = road_network_graph(6, 6, rng=1)
-    >>> estimator = ReliabilityEstimator(samples=2000, max_width=512, rng=1)
-    >>> result = estimator.estimate(graph, terminals=[0, 14, 35])
-    >>> 0.0 <= result.reliability <= 1.0
-    True
-    """
-
-    def __init__(
-        self,
-        samples: int = 10_000,
-        *,
-        max_width: int = 10_000,
-        estimator: EstimatorKind = EstimatorKind.MONTE_CARLO,
-        use_extension: bool = True,
-        edge_ordering: EdgeOrdering = EdgeOrdering.BFS,
-        stratum_mass_cutoff: float = 0.5,
-        rng: RandomLike = None,
-    ) -> None:
-        warnings.warn(
-            "ReliabilityEstimator is deprecated; use "
-            "repro.engine.ReliabilityEngine (EstimatorConfig + prepare() + "
-            "estimate/query) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._config = EstimatorConfig(
-            backend="s2bdd",
-            samples=samples,
-            max_width=max_width,
-            estimator=estimator,
-            use_extension=use_extension,
-            edge_ordering=edge_ordering,
-            stratum_mass_cutoff=stratum_mass_cutoff,
-        )
-        self._backend = create_backend("s2bdd", self._config)
-        self._rng = resolve_rng(rng)
-
-    # ------------------------------------------------------------------
-    # Configuration accessors (used by the experiment harness)
-    # ------------------------------------------------------------------
-    @property
-    def config(self) -> EstimatorConfig:
-        """The consolidated configuration backing this estimator."""
-        return self._config
-
-    @property
-    def samples(self) -> int:
-        """Configured sample budget ``s``."""
-        return self._config.samples
-
-    @property
-    def max_width(self) -> int:
-        """Configured S²BDD width cap ``w``."""
-        return self._config.max_width
-
-    @property
-    def estimator(self) -> EstimatorKind:
-        """Configured estimator kind."""
-        return self._config.estimator
-
-    @property
-    def uses_extension(self) -> bool:
-        """Whether the extension technique is enabled."""
-        return self._config.use_extension
-
-    # ------------------------------------------------------------------
-    # Estimation
-    # ------------------------------------------------------------------
-    def estimate(
-        self,
-        graph: UncertainGraph,
-        terminals: Sequence[Vertex],
-        *,
-        decomposition: Optional[GraphDecomposition] = None,
-    ) -> ReliabilityResult:
-        """Estimate ``R[G, T]`` for ``graph`` and ``terminals``.
-
-        ``decomposition`` may carry a precomputed 2-edge-connected
-        decomposition of ``graph`` (the paper's precomputed index) to avoid
-        recomputing it for every query.
-        """
-        return self._backend.estimate(
-            graph, terminals, rng=self._rng, decomposition=decomposition
-        )
-
-
-def estimate_reliability(
-    graph: UncertainGraph,
-    terminals: Sequence[Vertex],
-    *,
-    samples: int = 10_000,
-    max_width: int = 10_000,
-    estimator: EstimatorKind = EstimatorKind.MONTE_CARLO,
-    use_extension: bool = True,
-    edge_ordering: EdgeOrdering = EdgeOrdering.BFS,
-    stratum_mass_cutoff: float = 0.5,
-    rng: RandomLike = None,
-) -> ReliabilityResult:
-    """One-shot convenience wrapper around the ``"s2bdd"`` backend.
-
-    .. deprecated::
-        Prefer :class:`repro.engine.ReliabilityEngine` for anything beyond
-        a single ad-hoc query; it amortizes preprocessing across queries.
-        This wrapper re-runs the decomposition on every call (and emits a
-        :class:`DeprecationWarning`).
-    """
-    warnings.warn(
-        "estimate_reliability is deprecated; use "
-        "repro.engine.ReliabilityEngine (EstimatorConfig + prepare() + "
-        "estimate/query) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    config = EstimatorConfig(
-        backend="s2bdd",
-        samples=samples,
-        max_width=max_width,
-        estimator=estimator,
-        use_extension=use_extension,
-        edge_ordering=edge_ordering,
-        stratum_mass_cutoff=stratum_mass_cutoff,
-    )
-    return create_backend("s2bdd", config).estimate(
-        graph, terminals, rng=resolve_rng(rng)
-    )
 
 
 #: Mapping from this function's historical ``method`` names to registry names.

@@ -21,22 +21,19 @@ over strata and ``R̂_j`` estimates the conditional reliability of stratum
 is the exact reliability (the paper's "our approach computes the exact
 answer for small-scale graphs").
 
-Two construction back ends produce bit-identical diagrams:
+Construction (:meth:`S2BDD.construct`) assigns each distinct layer state a
+dense integer id, keys the layer by one flat merge key per state, inlines
+the transition over the precomputed per-layer index maps, and shares the
+no-merge child between the two branches of a parent.  The merge key is a
+``bytes`` string when every component label fits one byte and a ``tuple``
+of ints on wider frontiers; both give the same merges.  The readable
+dict-keyed loop this replaced lives on as a test reference
+(``tests/reference/s2bdd_dict.py``), and the parity tests hold construction
+to it bit for bit: same Kahan additions, same dedup accumulation, same
+priority-sort trigger and stability.
 
-* the **legacy dict path** (:meth:`S2BDD._construct`) keys each layer by
-  nested ``(partition, flags)`` tuples and calls
-  :meth:`~repro.core.state.TransitionTable.apply` per branch — it is the
-  readable reference implementation;
-* the **interned path** (:meth:`S2BDD._construct_interned`, the default)
-  assigns each distinct layer state a dense integer id, keys the layer by a
-  flat ``bytes`` string, inlines the transition over the precomputed
-  per-layer index maps, and shares the no-merge child between the two
-  branches of a parent.  It follows the exact float-operation order of the
-  legacy path (same Kahan additions, same dedup accumulation, same
-  priority-sort trigger and stability), so results match bit for bit.
-
-The interned path additionally records a **replay** of the diagram — per
-layer, the arc targets of every (parent, branch) pair — whenever the
+Construction also records a **replay** of the diagram — per layer, the
+arc targets of every (parent, branch) pair — and keeps it whenever the
 diagram is exact and probability-independent in structure (no deletions,
 no priority sort, every edge probability strictly inside ``(0, 1)``).
 :meth:`S2BDD.resweep` pushes new edge probabilities through that recording
@@ -53,7 +50,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 from repro.core.bounds import ReliabilityBounds
 from repro.core.estimators import EstimatorKind
 from repro.core.frontier import EdgeOrdering, FrontierPlan, build_frontier_plan
-from repro.core.state import CONNECTED, DISCONNECTED, LIVE, NodeState, TransitionTable
+from repro.core.state import TransitionTable
 from repro.core.stratified import reduced_sample_count
 from repro.exceptions import ConfigurationError
 from repro.graph.compiled import IntUnionFind
@@ -74,13 +71,13 @@ _ARC_CONNECTED = -1
 _ARC_DISCONNECTED = -2
 _ARC_PRUNED = -3
 
-#: Sentinel outcome for transitions that reach the 1-sink (interned path).
+#: Sentinel outcome for transitions that reach the 1-sink.
 _CONNECTED_OUTCOME = object()
 
-#: Largest frontier the byte-string interner can label: work arrays hold the
+#: Largest frontier whose merge keys can be ``bytes``: work arrays hold the
 #: frontier plus at most two entering vertices, and ``bytes()`` needs every
-#: component label to fit one byte.
-_MAX_INTERNED_FRONTIER = 253
+#: component label to fit one byte.  Wider frontiers key by ``tuple``.
+_MAX_BYTES_KEY_FRONTIER = 253
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,9 @@ class Stratum:
         Number of edges already decided; the state refers to the frontier
         after that many edges.
     partition / terminal_counts:
-        The node's frontier state (see :class:`repro.core.state.NodeState`).
+        The node's frontier state: the canonical component label of each
+        frontier vertex, and the number of terminals each component has
+        absorbed (see :mod:`repro.core.state`).
     probability:
         Probability mass of the intermediate graph (``p_n``).
     """
@@ -102,11 +101,6 @@ class Stratum:
     partition: Tuple[int, ...]
     terminal_counts: Tuple[int, ...]
     probability: float
-
-    @property
-    def state(self) -> NodeState:
-        """The stratum's frontier state as a :class:`NodeState`."""
-        return NodeState(self.partition, self.terminal_counts)
 
 
 @dataclass
@@ -163,12 +157,6 @@ class S2BDD:
         generating children, so that high-priority nodes survive the width
         cap (the paper's deleting procedure).  Disabling it keeps nodes in
         arrival order; used by the ablation benchmarks.
-    use_interned:
-        Whether construction may use the interned flat-int path (the
-        default).  The legacy dict path stays available as the parity
-        reference; both produce bit-identical results.  Graphs whose
-        frontier exceeds the one-byte label space silently fall back to
-        the legacy path.
     rng:
         Seed / generator for the sampling procedure.
 
@@ -190,7 +178,6 @@ class S2BDD:
         edge_ordering: EdgeOrdering = EdgeOrdering.BFS,
         stratum_mass_cutoff: float = 0.5,
         use_priority: bool = True,
-        use_interned: bool = True,
         rng: RandomLike = None,
     ) -> None:
         check_positive_int(max_width, "max_width")
@@ -212,10 +199,6 @@ class S2BDD:
             rng=self._rng,
         )
         self._transitions = TransitionTable(self._plan, self._terminals)
-        self._interned = (
-            bool(use_interned)
-            and self._plan.max_frontier_size() <= _MAX_INTERNED_FRONTIER
-        )
         # Flat-int state for the stratum-completion sampler, built lazily
         # on the first sampling run (exact diagrams never need it).
         self._completions: Optional[_StratumCompletionKernel] = None
@@ -227,11 +210,6 @@ class S2BDD:
     def plan(self) -> FrontierPlan:
         """The frontier plan (edge order and per-layer frontiers) in use."""
         return self._plan
-
-    @property
-    def interned(self) -> bool:
-        """Whether construction runs on the interned flat-int path."""
-        return self._interned
 
     def run(
         self,
@@ -300,24 +278,6 @@ class S2BDD:
             deleted_probability_mass=construction.deleted_mass,
             estimator=estimator,
         )
-
-    def compute_bounds(self) -> ReliabilityBounds:
-        """Construct the diagram and return only the certified bounds."""
-        return self.construct(0).bounds
-
-    def construct(self, samples: int = 0) -> "S2BDD._Construction":
-        """Build the diagram and return the construction outcome.
-
-        Dispatches to the interned flat-int path or the legacy dict path
-        depending on how the instance was configured; the two are
-        bit-identical.  The returned object can be passed back to
-        :meth:`run` any number of times, which is how one constructed
-        diagram amortises over a whole query workload.
-        """
-        check_non_negative_int(samples, "samples")
-        if self._interned:
-            return self._construct_interned(samples=samples)
-        return self._construct(samples=samples)
 
     def resweep(
         self,
@@ -409,183 +369,55 @@ class S2BDD:
         layers_processed: int
         deleted_mass: float
         # Per layer, the arc targets of every (parent, branch) pair plus the
-        # next layer's live width; only recorded by the interned path, and
-        # only kept when the structure is probability-independent (exact, no
-        # priority sort, every edge probability strictly inside (0, 1)).
+        # next layer's live width; only kept when the structure is
+        # probability-independent (exact, no priority sort, every edge
+        # probability strictly inside (0, 1)).
         replay: Optional[List[Tuple[List[int], List[int], int]]] = None
         replay_safe: bool = False
 
-    def _construct(self, *, samples: int = 0) -> "S2BDD._Construction":
-        """Build the S²BDD layer by layer.
+    def construct(self, samples: int = 0) -> "S2BDD._Construction":
+        """Build the diagram layer by layer and return the outcome.
 
         ``samples`` (the caller's budget ``s``) enables the early
-        termination of Algorithm 2 (lines 26–32): once the unresolved
-        probability mass is so small that the stratified budget would not
-        allocate even a single sample to it, the remaining construction
-        cannot change the estimate, so the surviving nodes are converted to
-        strata and construction stops.  Pass 0 to disable (bounds-only
-        runs).
-        """
-        plan = self._plan
-        transitions = self._transitions
-        k = self._k
-        max_width = self._max_width
-
-        if k <= 1:
-            return S2BDD._Construction(ReliabilityBounds(1.0, 0.0), [], 0, 0, 0.0)
-        if plan.num_edges == 0:
-            # Two or more terminals but no edges: never connected.
-            return S2BDD._Construction(ReliabilityBounds(0.0, 1.0), [], 0, 0, 0.0)
-
-        connected_mass = KahanSum()
-        disconnected_mass = KahanSum()
-        strata: List[Stratum] = []
-        deleted_mass = KahanSum()
-
-        # A layer is a dict keyed by the Lemma-4.3 merge key; values are
-        # [partition, counts, probability] (counts kept for the heuristic).
-        current: Dict[Tuple, List] = {((), ()): [(), (), 1.0]}
-        peak_width = 1
-        layers_processed = 0
-
-        for layer_index in range(plan.num_edges):
-            if not current:
-                break
-            layers_processed = layer_index + 1
-            edge = plan.edges[layer_index]
-            probability_exist = edge.probability
-            probability_missing = 1.0 - probability_exist
-
-            parents = list(current.values())
-            # Deletion can only happen if this layer is able to overflow the
-            # width cap; only then is the (comparatively expensive) priority
-            # ordering of the parents worthwhile.
-            if self._use_priority and 2 * len(parents) > max_width:
-                parents.sort(
-                    key=lambda node: transitions.priority(
-                        layer_index, node[0], node[1], node[2]
-                    ),
-                    reverse=True,
-                )
-
-            next_nodes: Dict[Tuple, List] = {}
-            apply = transitions.apply
-            for partition, counts, probability in parents:
-                for exists, branch_probability in (
-                    (False, probability_missing),
-                    (True, probability_exist),
-                ):
-                    if branch_probability <= 0.0:
-                        continue
-                    child_probability = probability * branch_probability
-                    sink, child_partition, child_counts, child_flags = apply(
-                        layer_index, partition, counts, exists
-                    )
-                    if sink == CONNECTED:
-                        connected_mass.add(child_probability)
-                        continue
-                    if sink == DISCONNECTED:
-                        disconnected_mass.add(child_probability)
-                        continue
-                    key = (child_partition, child_flags)
-                    node = next_nodes.get(key)
-                    if node is not None:
-                        node[2] += child_probability
-                    elif len(next_nodes) < max_width:
-                        next_nodes[key] = [child_partition, child_counts, child_probability]
-                    else:
-                        # Deleting procedure: the node becomes a stratum.
-                        strata.append(
-                            Stratum(
-                                layer_index + 1,
-                                child_partition,
-                                child_counts,
-                                child_probability,
-                            )
-                        )
-                        deleted_mass.add(child_probability)
-            current = next_nodes
-            if len(current) > peak_width:
-                peak_width = len(current)
-
-            # Early termination (Algorithm 2, lines 26–32).  Two triggers:
-            #
-            # 1. the unresolved mass is so small that the stratified budget
-            #    would not allocate a single sample to it — finishing the
-            #    construction cannot change the estimate; or
-            # 2. most of the unresolved mass has already been delegated to
-            #    strata (dense graphs whose layer width blows past ``w``
-            #    immediately): the bounds can improve by at most the mass
-            #    still held by the surviving layer, so further layers cost
-            #    construction time without reducing the sampling work.
-            #
-            # Both triggers require that at least one node has already been
-            # deleted: as long as nothing was deleted the diagram is still
-            # exact, and finishing it yields the exact reliability (the
-            # paper's behaviour on small graphs).
-            if samples > 0 and current and strata:
-                unresolved = (
-                    1.0 - connected_mass.value - disconnected_mass.value
-                )
-                if unresolved * samples < 1.0:
-                    break
-                if (
-                    self._stratum_mass_cutoff < 1.0
-                    and deleted_mass.value > self._stratum_mass_cutoff * unresolved
-                ):
-                    break
-
-        # Nodes still alive after the loop (early termination, or the
-        # defensive case of surviving the final layer) become strata so
-        # their probability mass is still covered by sampling.
-        for partition, counts, probability in current.values():
-            strata.append(Stratum(layers_processed, partition, counts, probability))
-            deleted_mass.add(probability)
-
-        p_c = min(1.0, max(0.0, connected_mass.value))
-        p_d = min(1.0, max(0.0, disconnected_mass.value))
-        if p_c + p_d > 1.0:
-            # Numerical guard: renormalise the tiny overshoot.
-            p_d = max(0.0, 1.0 - p_c)
-        bounds = ReliabilityBounds(p_c, p_d)
-        return S2BDD._Construction(
-            bounds=bounds,
-            strata=strata,
-            peak_width=peak_width,
-            layers_processed=layers_processed,
-            deleted_mass=deleted_mass.value,
-        )
-
-    def _construct_interned(self, *, samples: int = 0) -> "S2BDD._Construction":
-        """Interned flat-int construction, bit-identical to :meth:`_construct`.
+        termination of Algorithm 2 (lines 26–32); pass 0 to disable it
+        (bounds-only runs).  The returned object can be passed back to
+        :meth:`run` any number of times, which is how one constructed
+        diagram amortises over a whole query workload.
 
         Layer states live in parallel lists indexed by a dense state id:
         ``parts[sid]`` / ``cnts[sid]`` are the partition and component
         counts as plain int lists, ``masses[sid]`` the accumulated
-        probability, ``keys[sid]`` the flat ``bytes`` merge key (partition
-        labels followed by the per-component terminal flags; both ranges
-        have a layer-fixed length, so no separator is needed).  The
-        transition is inlined over the precomputed per-layer index maps.
-        Two fused per-layer closures produce children in a single pass:
-        ``finish`` for the no-merge child — shared between the False branch
-        and a True branch that joins nothing, computed lazily once per
-        parent — and ``finish_merge``, which reads the merge through a
-        label indirection instead of materialising the rewritten partition
-        and counts first.
+        probability, ``keys[sid]`` the flat merge key (partition labels
+        followed by the per-component terminal flags; both ranges have a
+        layer-fixed length, so no separator is needed).  The key is
+        ``bytes`` when the plan's widest frontier lets every label fit one
+        byte, and a ``tuple`` otherwise.  The transition is inlined over
+        the precomputed per-layer index maps.  Two fused per-layer closures
+        produce children in a single pass: ``finish`` for the no-merge
+        child — shared between the False branch and a True branch that
+        joins nothing, computed lazily once per parent — and
+        ``finish_merge``, which reads the merge through a label
+        indirection instead of materialising the rewritten partition and
+        counts first.
 
-        Bit-identity with the legacy path holds because every float
-        operation happens in the same order: parents are visited in state-id
-        (= dict insertion) order, the priority sort fires on the same
-        trigger and is equally stable, each parent still emits the False
-        branch before the True branch, duplicate children accumulate via
-        the same ``+=`` sequence, and the Kahan sums see the same adds.
+        The result is bit-identical to the dict-keyed reference loop the
+        tests keep, because every float operation happens in the same
+        order: parents are visited in state-id (= dict insertion) order,
+        the priority sort fires on the same trigger and is equally stable,
+        each parent still emits the False branch before the True branch,
+        duplicate children accumulate via the same ``+=`` sequence, and the
+        Kahan sums see the same adds.
         """
+        check_non_negative_int(samples, "samples")
         plan = self._plan
         transitions = self._transitions
         k = self._k
         max_width = self._max_width
         cutoff = self._stratum_mass_cutoff
         use_priority = self._use_priority
+        make_key = (
+            bytes if plan.max_frontier_size() <= _MAX_BYTES_KEY_FRONTIER else tuple
+        )
 
         if k <= 1:
             return S2BDD._Construction(ReliabilityBounds(1.0, 0.0), [], 0, 0, 0.0)
@@ -605,7 +437,7 @@ class S2BDD:
         parts: List[List[int]] = [[]]
         cnts: List[List[int]] = [[]]
         masses: List[float] = [1.0]
-        keys: List[bytes] = [b""]
+        keys: List[Hashable] = [make_key([])]
         peak_width = 1
         layers_processed = 0
 
@@ -638,7 +470,8 @@ class S2BDD:
                 lcounts: List[int],
                 _after: Tuple[int, ...] = after_positions,
                 _leaving: Tuple[int, ...] = leaving_positions,
-            ) -> Optional[Tuple[bytes, List[int], List[int]]]:
+                _key=make_key,
+            ) -> Optional[Tuple[Hashable, List[int], List[int]]]:
                 # 0-sink: only a component containing a retiring endpoint of
                 # the processed edge can lose its last frontier vertex here.
                 for position in _leaving:
@@ -668,7 +501,7 @@ class S2BDD:
                         child_flags.append(1 if count else 0)
                     child_partition.append(canonical)
                 return (
-                    bytes(child_partition + child_flags),
+                    _key(child_partition + child_flags),
                     child_partition,
                     child_counts,
                 )
@@ -681,7 +514,8 @@ class S2BDD:
                 merged: int,
                 _after: Tuple[int, ...] = after_positions,
                 _leaving: Tuple[int, ...] = leaving_positions,
-            ) -> Optional[Tuple[bytes, List[int], List[int]]]:
+                _key=make_key,
+            ) -> Optional[Tuple[Hashable, List[int], List[int]]]:
                 # Same as ``finish`` over the state with label_v rewritten to
                 # label_u and the merged component count, but reading through
                 # the indirection instead of copying the arrays first.
@@ -719,7 +553,7 @@ class S2BDD:
                         child_flags.append(1 if count else 0)
                     child_partition.append(canonical)
                 return (
-                    bytes(child_partition + child_flags),
+                    _key(child_partition + child_flags),
                     child_partition,
                     child_counts,
                 )
@@ -739,11 +573,11 @@ class S2BDD:
                 )
                 replay_ok = False
 
-            next_index: Dict[bytes, int] = {}
+            next_index: Dict[Hashable, int] = {}
             next_parts: List[List[int]] = []
             next_cnts: List[List[int]] = []
             next_masses: List[float] = []
-            next_keys: List[bytes] = []
+            next_keys: List[Hashable] = []
             next_width = 0
             false_arcs: List[int] = []
             true_arcs: List[int] = []
@@ -889,9 +723,22 @@ class S2BDD:
                 peak_width = next_width
             replay.append((false_arcs, true_arcs, next_width))
 
-            # Early termination (Algorithm 2, lines 26–32); see the legacy
-            # path for the full rationale.  Requires at least one deleted
-            # node, so it never fires on a replayable construction.
+            # Early termination (Algorithm 2, lines 26–32).  Two triggers:
+            #
+            # 1. the unresolved mass is so small that the stratified budget
+            #    would not allocate a single sample to it — finishing the
+            #    construction cannot change the estimate; or
+            # 2. most of the unresolved mass has already been delegated to
+            #    strata (dense graphs whose layer width blows past ``w``
+            #    immediately): the bounds can improve by at most the mass
+            #    still held by the surviving layer, so further layers cost
+            #    construction time without reducing the sampling work.
+            #
+            # Both triggers require that at least one node has already been
+            # deleted: as long as nothing was deleted the diagram is still
+            # exact, and finishing it yields the exact reliability (the
+            # paper's behaviour on small graphs).  So neither fires on a
+            # replayable construction.
             if samples > 0 and next_width and strata:
                 unresolved = 1.0 - connected_mass.value - disconnected_mass.value
                 if unresolved * samples < 1.0:
@@ -899,8 +746,9 @@ class S2BDD:
                 if cutoff < 1.0 and deleted_mass.value > cutoff * unresolved:
                     break
 
-        # Nodes still alive after the loop become strata so their mass is
-        # still covered by sampling (mirrors the legacy path).
+        # Nodes still alive after the loop (early termination, or the
+        # defensive case of surviving the final layer) become strata so
+        # their probability mass is still covered by sampling.
         for sid in range(len(masses)):
             probability = masses[sid]
             strata.append(

@@ -18,16 +18,23 @@ the same places can be merged (Lemma 4.3): whether the remaining edges lead
 to the 1-sink or the 0-sink depends only on that pattern, because a
 component is "finished" exactly when it holds all ``k`` terminals, and the
 per-layer number of still-unseen terminals is the same for every node of
-the layer.
+the layer.  Merged nodes may carry different counts; that only steers the
+deletion heuristic, never correctness.
 
-:class:`TransitionTable` implements the exact transition used by both the
-exact BDD baseline and the S²BDD.  It precomputes, per layer, integer
-positions for the edge endpoints, the entering vertices and the surviving
-frontier, so that the per-node work in the innermost construction loop is
-pure list manipulation.  The transition applies one edge state, detects
-1-sink / 0-sink outcomes early (a strict superset of Lemmas 4.1 and 4.2),
-retires vertices that leave the frontier, and returns the canonical child
-state.
+A node state is therefore a pair of int sequences: ``partition[i]`` is
+the component label of the ``i``-th vertex of the layer's frontier, with
+labels canonicalised to first-appearance order (0, 1, 2, ...), and
+``terminal_counts[c]`` is the number of terminals component ``c`` has
+absorbed.
+
+:class:`TransitionTable` precomputes, per layer, integer positions for the
+edge endpoints, the entering vertices and the surviving frontier, so that
+the per-node work in the innermost construction loop is pure list
+manipulation.  :meth:`TransitionTable.apply` (the exact BDD baseline's
+transition) applies one edge state, detects 1-sink / 0-sink outcomes early
+(a strict superset of Lemmas 4.1 and 4.2), retires vertices that leave the
+frontier, and returns the canonical child state; the S²BDD inlines the
+same transition over :meth:`TransitionTable.layer`.
 """
 
 from __future__ import annotations
@@ -41,9 +48,7 @@ __all__ = [
     "CONNECTED",
     "DISCONNECTED",
     "LIVE",
-    "NodeState",
     "TransitionTable",
-    "initial_state",
 ]
 
 Vertex = Hashable
@@ -52,70 +57,6 @@ Vertex = Hashable
 LIVE = 0
 CONNECTED = 1
 DISCONNECTED = 2
-
-
-@dataclass(frozen=True)
-class NodeState:
-    """Canonical per-node state over the frontier of one layer.
-
-    Attributes
-    ----------
-    partition:
-        For the ``i``-th vertex of the layer's (sorted) frontier, the label
-        of its connected component.  Labels are canonicalised to first
-        appearance order (0, 1, 2, ...).
-    terminal_counts:
-        ``terminal_counts[c]`` is the number of terminals absorbed by
-        component ``c`` (including terminals that already retired from the
-        frontier while connected to it).
-    """
-
-    partition: Tuple[int, ...]
-    terminal_counts: Tuple[int, ...]
-
-    def merge_key(self) -> Tuple[Tuple[int, ...], Tuple[bool, ...]]:
-        """Key under which nodes may be merged (Lemma 4.3).
-
-        Only the pattern of "has at least one terminal" matters for the
-        eventual sink, so the key keeps booleans rather than counts; nodes
-        that merge may therefore carry different counts, which only affects
-        the deletion heuristic, never correctness.
-
-        The key is memoised on the (frozen) instance: legacy construction
-        asks for it once per outgoing branch of every node.
-        """
-        key = getattr(self, "_merge_key_cache", None)
-        if key is None:
-            key = (
-                self.partition,
-                tuple(count > 0 for count in self.terminal_counts),
-            )
-            object.__setattr__(self, "_merge_key_cache", key)
-        return key
-
-    def num_components(self) -> int:
-        """Number of frontier components tracked by this state."""
-        return len(self.terminal_counts)
-
-    def component_of(self, frontier: Sequence[Vertex]) -> Dict[Vertex, int]:
-        """Return a vertex → component-label mapping for ``frontier``.
-
-        The mapping is cached per frontier: states are immutable, and the
-        callers that fan one state out over many probes all pass the same
-        frontier tuple, so rebuilding the dict per call was pure waste.
-        """
-        frontier = tuple(frontier)
-        cached = getattr(self, "_component_of_cache", None)
-        if cached is not None and cached[0] == frontier:
-            return cached[1]
-        mapping = {vertex: label for vertex, label in zip(frontier, self.partition)}
-        object.__setattr__(self, "_component_of_cache", (frontier, mapping))
-        return mapping
-
-
-def initial_state() -> NodeState:
-    """Return the root state (empty frontier, no components)."""
-    return NodeState(partition=(), terminal_counts=())
 
 
 @dataclass(frozen=True)
@@ -137,11 +78,11 @@ class _LayerContext:
     # Number of uncertain edges per *current*-frontier position (for h(n)).
     frontier_degrees: Tuple[int, ...]
     # Work-array positions whose component must pass the 0-sink check
-    # (retiring endpoints, in the legacy (u, v) probe order).
+    # (retiring endpoints, in the (u, v) probe order of ``apply``).
     leaving_positions: Tuple[int, ...]
     # True when the layer neither admits nor retires vertices and keeps the
     # frontier order: the no-merge transition is then the identity map, so
-    # the interned construction reuses the parent state object wholesale.
+    # the S²BDD construction reuses the parent state object wholesale.
     identity: bool
 
 
@@ -224,8 +165,8 @@ class TransitionTable:
     def layer(self, layer_index: int) -> _LayerContext:
         """The precomputed index maps for one layer.
 
-        The interned S²BDD construction drives its inlined transition
-        straight off these maps instead of calling :meth:`apply` per node.
+        The S²BDD construction drives its inlined transition straight off
+        these maps instead of calling :meth:`apply` per node.
         """
         return self._layers[layer_index]
 
@@ -251,8 +192,8 @@ class TransitionTable:
         pattern used as part of the Lemma-4.3 merge key.  The child fields
         are ``None`` unless ``sink_code == LIVE``.
 
-        This is the innermost loop of both BDD constructions, so it works
-        on plain lists indexed by precomputed integer positions.
+        This is the innermost loop of the exact BDD construction, so it
+        works on plain lists indexed by precomputed integer positions.
         """
         context = self._layers[layer_index]
         k = self.k
@@ -320,18 +261,6 @@ class TransitionTable:
             child_partition.append(canonical)
 
         return LIVE, tuple(child_partition), tuple(child_counts), tuple(child_flags)
-
-    def apply_state(
-        self, layer_index: int, state: NodeState, edge_exists: bool
-    ) -> Tuple[int, Optional[NodeState]]:
-        """Convenience wrapper of :meth:`apply` over :class:`NodeState`."""
-        sink, partition, counts, _ = self.apply(
-            layer_index, state.partition, state.terminal_counts, edge_exists
-        )
-        if sink != LIVE:
-            return sink, None
-        assert partition is not None and counts is not None
-        return LIVE, NodeState(partition=partition, terminal_counts=counts)
 
     # ------------------------------------------------------------------
     # Deletion heuristic (Equation 10)

@@ -5,8 +5,7 @@ protocol for one of the methods the paper evaluates, and every one returns
 the library's uniform :class:`~repro.core.reliability.ReliabilityResult`:
 
 * :class:`S2BDDBackend` (``"s2bdd"``) — the paper's approach: extension
-  technique + S²BDD + stratified sampling.  This is the estimation logic
-  that historically lived in ``ReliabilityEstimator.estimate``.
+  technique + S²BDD + stratified sampling.
 * :class:`SamplingBackend` (``"sampling"``) — plain possible-world sampling
   (``Sampling(MC)`` / ``Sampling(HT)``).
 * :class:`ExactBDDBackend` (``"exact-bdd"``) — the exact frontier BDD; may
@@ -166,7 +165,6 @@ class S2BDDBackend(_BackendBase):
                     edge_ordering=config.edge_ordering,
                     stratum_mass_cutoff=config.stratum_mass_cutoff,
                     rng=sub_rng,
-                    use_interned=config.s2bdd_interned,
                 )
                 with span("s2bdd.construct"):
                     with self._construction_histogram().time():

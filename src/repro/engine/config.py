@@ -1,12 +1,11 @@
 """Shared estimator configuration.
 
-:class:`EstimatorConfig` consolidates the keyword surface that used to be
-copy-pasted between :class:`~repro.core.reliability.ReliabilityEstimator`,
-:func:`~repro.core.reliability.estimate_reliability`, the experiment
-harness, and the CLI into one frozen, validated dataclass.  It selects the
-reliability method by ``backend`` name (see :mod:`repro.engine.registry`),
-supports ``replace()``-style overrides, and round-trips through plain dicts
-and JSON so the harness can log and reload configurations.
+:class:`EstimatorConfig` is the one keyword surface shared by the engine,
+its backends, the experiment harness, and the CLI: a frozen, validated
+dataclass.  It selects the reliability method by ``backend`` name (see
+:mod:`repro.engine.registry`), supports ``replace()``-style overrides, and
+round-trips through plain dicts and JSON so the harness can log and reload
+configurations.
 """
 
 from __future__ import annotations
@@ -51,10 +50,6 @@ class EstimatorConfig:
     stratum_mass_cutoff:
         Construction early-exit threshold in ``(0, 1]`` forwarded to
         :class:`~repro.core.s2bdd.S2BDD` (1.0 disables it).
-    s2bdd_interned:
-        Whether the S²BDD backend uses the interned flat-array construction
-        loop.  ``False`` selects the legacy dict-based path, kept as the
-        bit-identical parity reference.
     s2bdd_cache:
         Whether the S²BDD backend caches constructed diagrams per
         (subgraph, terminal set, construction config) and reuses them
@@ -83,7 +78,6 @@ class EstimatorConfig:
     use_extension: bool = True
     edge_ordering: EdgeOrdering = EdgeOrdering.BFS
     stratum_mass_cutoff: float = 0.5
-    s2bdd_interned: bool = True
     s2bdd_cache: bool = True
     rng: RandomLike = None
     exact_bdd_node_limit: int = 2_000_000
@@ -146,7 +140,6 @@ class EstimatorConfig:
             "use_extension": self.use_extension,
             "edge_ordering": self.edge_ordering.value,
             "stratum_mass_cutoff": self.stratum_mass_cutoff,
-            "s2bdd_interned": self.s2bdd_interned,
             "s2bdd_cache": self.s2bdd_cache,
             "rng": self.rng,
             "exact_bdd_node_limit": self.exact_bdd_node_limit,

@@ -55,10 +55,10 @@ def diagram_key(graph, terminals: Sequence[Vertex], config) -> Optional[Tuple]:
     probabilities: the subproblem topology (vertices plus ``(id, u, v)``
     edge tuples in insertion order), the terminal tuple, and the
     construction-relevant config fields (width cap, edge ordering, stratum
-    cutoff, the sample budget steering early termination, and which
-    construction path runs).  Probabilities are deliberately excluded — the
-    lookup compares them separately so probability-only changes can re-sweep
-    the cached structure instead of missing.
+    cutoff, and the sample budget steering early termination).
+    Probabilities are deliberately excluded — the lookup compares them
+    separately so probability-only changes can re-sweep the cached
+    structure instead of missing.
 
     Returns ``None`` for uncacheable configurations: the ``random`` edge
     ordering draws from the query RNG while planning, so its construction
@@ -74,7 +74,6 @@ def diagram_key(graph, terminals: Sequence[Vertex], config) -> Optional[Tuple]:
         config.edge_ordering.value,
         config.stratum_mass_cutoff,
         config.samples,
-        config.s2bdd_interned,
     )
 
 

@@ -288,7 +288,8 @@ class ReliabilityEngine:
         """The deterministic RNG seed used for the session's ``index``-th query.
 
         Exposed so callers (and tests) can reproduce any single query of a
-        batch through the one-shot API with an identical random stream.
+        batch with an identical random stream, e.g. by passing it as
+        ``rng`` to :meth:`estimate` or to a backend's ``estimate``.
         """
         if index < 0:
             raise ConfigurationError(f"query index must be >= 0, got {index}")

@@ -13,8 +13,8 @@ changing the reliability:
    series, parallel, and self-loop reductions inside each component.
 
 :func:`repro.preprocess.pipeline.preprocess` chains the three phases and is
-what :class:`repro.core.reliability.ReliabilityEstimator` calls when the
-extension is enabled.
+what the ``"s2bdd"`` backend (:class:`repro.engine.backends.S2BDDBackend`)
+calls when the extension is enabled.
 """
 
 from repro.preprocess.decompose import DecomposeResult, decompose

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from repro.engine import EstimatorConfig, create_backend
 from repro.graph.generators import random_connected_graph
 from repro.graph.uncertain_graph import UncertainGraph
+from repro.utils.rng import resolve_rng
 
 
 @pytest.fixture
@@ -49,3 +51,15 @@ def random_terminals(graph: UncertainGraph, seed: int, k: int) -> list:
     """Pick ``k`` distinct terminals deterministically from ``seed``."""
     generator = random.Random(seed)
     return generator.sample(sorted(graph.vertices(), key=repr), k)
+
+
+def s2bdd_estimate(graph, terminals, *, rng=None, decomposition=None, **config):
+    """One ``"s2bdd"`` estimate on a fresh, engine-free backend.
+
+    ``config`` holds :class:`EstimatorConfig` fields; ``rng`` (a seed or a
+    :class:`random.Random`) drives the query's random stream.
+    """
+    backend = create_backend("s2bdd", EstimatorConfig(backend="s2bdd", **config))
+    return backend.estimate(
+        graph, terminals, rng=resolve_rng(rng), decomposition=decomposition
+    )

@@ -3,8 +3,11 @@
 Four contracts, bottom up:
 
 * the interned flat-array construction loop is **bit-identical** to the
-  legacy dict path — on raw :class:`S2BDD` runs (exact and width-capped,
-  MC and HT) and through the engine across all six query kinds,
+  dict-keyed reference loop (``tests/reference/s2bdd_dict.py``) — on raw
+  :class:`S2BDD` runs (exact and width-capped, MC and HT, and a frontier
+  too wide for one-byte merge keys) and through the engine across all six
+  query kinds — and a pinned digest holds the raw runs to the values the
+  construction gave before the reference left the product,
 * :meth:`S2BDD.resweep` over a replay-safe construction reproduces a
   from-scratch construction with the new probabilities bit-identically,
 * :class:`DiagramCache` — content-addressed keys (``None`` for the
@@ -17,6 +20,8 @@ Four contracts, bottom up:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -35,9 +40,9 @@ from repro.engine.queries import (
     TopKReliableVerticesQuery,
 )
 from repro.datasets import load_dataset
-from repro.graph.generators import cycle_graph
 from repro.graph.uncertain_graph import UncertainGraph
 from tests.conftest import make_random_graph, random_terminals
+from tests.reference.s2bdd_dict import dict_construct
 
 
 @pytest.fixture
@@ -71,53 +76,99 @@ def construct_fields(construction):
 
 
 # ----------------------------------------------------------------------
-# Interned vs. legacy construction parity
+# Interned construction vs. the dict-keyed reference
 # ----------------------------------------------------------------------
+ESTIMATORS = [EstimatorKind.MONTE_CARLO, EstimatorKind.HORVITZ_THOMPSON]
+
+#: SHA-256 of ``construction_digest_fields(S2BDD.construct)``: every
+#: width-capped (MC and HT) and exact parity case below, recorded while the
+#: dict-keyed loop was still a selectable construction path (both paths
+#: gave this value).
+CONSTRUCTION_GOLDEN = "00e8434f1272c0a7eb35e76f6d7680bc7be4673b616b03e1e6eca84f2b40aaa9"
+
+
+def width_capped_bdd(seed):
+    graph = make_random_graph(seed, num_vertices=9, num_edges=16)
+    return S2BDD(graph, random_terminals(graph, seed, 3), max_width=4, rng=seed)
+
+
+def exact_bdd(seed):
+    graph = make_random_graph(seed)
+    return S2BDD(graph, random_terminals(graph, seed, 2 + seed % 3), rng=seed)
+
+
+def capped_run(bdd, construct, estimator, samples=200):
+    """Construct with ``construct`` and sample; both fields, for comparison."""
+    construction = construct(bdd, samples)
+    result = bdd.run(samples, estimator=estimator, construction=construction)
+    return construct_fields(construction), run_fields(result)
+
+
+def construction_digest_fields(construct):
+    """The pinned fields of all 12 width-capped and 6 exact parity cases."""
+    fields = [
+        capped_run(width_capped_bdd(seed), construct, estimator)
+        for estimator in ESTIMATORS
+        for seed in range(6)
+    ]
+    fields += [construct_fields(construct(exact_bdd(seed), 0)) for seed in range(6)]
+    return fields
+
+
+def wide_frontier_bdd():
+    """``a`` and ``b`` joined through 300 middle vertices (frontier > 253)."""
+    edges = []
+    for index in range(300):
+        probability = 0.05 + (index % 6) * 0.01
+        edges.append(("a", f"m{index}", probability))
+        edges.append((f"m{index}", "b", probability))
+    graph = UncertainGraph.from_edge_list(edges)
+    return S2BDD(graph, ["a", "b"], max_width=8, stratum_mass_cutoff=1.0, rng=0)
+
+
 class TestInternedParity:
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("estimator", [EstimatorKind.MONTE_CARLO, EstimatorKind.HORVITZ_THOMPSON])
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_width_capped_runs_bit_identical(self, seed, estimator):
-        graph = make_random_graph(seed, num_vertices=9, num_edges=16)
-        terminals = random_terminals(graph, seed, 3)
-        results = []
-        for use_interned in (True, False):
-            bdd = S2BDD(
-                graph, terminals, max_width=4, rng=seed, use_interned=use_interned
-            )
-            results.append(run_fields(bdd.run(200, estimator=estimator)))
-        assert results[0] == results[1]
+        interned = capped_run(width_capped_bdd(seed), S2BDD.construct, estimator)
+        reference = capped_run(width_capped_bdd(seed), dict_construct, estimator)
+        assert interned == reference
 
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_constructions_bit_identical(self, seed):
-        graph = make_random_graph(seed)
-        terminals = random_terminals(graph, seed, 2 + seed % 3)
-        constructions = []
-        for use_interned in (True, False):
-            bdd = S2BDD(graph, terminals, rng=seed, use_interned=use_interned)
-            constructions.append(construct_fields(bdd.construct()))
-        assert constructions[0] == constructions[1]
+        interned = exact_bdd(seed).construct()
+        reference = dict_construct(exact_bdd(seed))
+        assert construct_fields(interned) == construct_fields(reference)
 
-    def test_interned_flag_reported(self):
-        graph = cycle_graph(5, 0.5)
-        assert S2BDD(graph, [0, 2], rng=0).interned
-        assert not S2BDD(graph, [0, 2], rng=0, use_interned=False).interned
+    def test_constructions_match_pinned_digest(self):
+        fields = construction_digest_fields(S2BDD.construct)
+        blob = json.dumps(fields, separators=(",", ":")).encode("utf-8")
+        assert hashlib.sha256(blob).hexdigest() == CONSTRUCTION_GOLDEN
+
+    def test_frontier_too_wide_for_byte_keys(self):
+        bdd = wide_frontier_bdd()
+        assert bdd.plan.max_frontier_size() > 253
+        construction = bdd.construct(200)
+        result = bdd.run(200, construction=construction)
+        reference = capped_run(
+            wide_frontier_bdd(), dict_construct, EstimatorKind.MONTE_CARLO
+        )
+        assert (construct_fields(construction), run_fields(result)) == reference
+        assert not result.exact
+        assert result.lower_bound <= result.reliability <= result.upper_bound
 
     @pytest.mark.parametrize("backend_interned", [True, False])
-    def test_engine_six_kinds_one_checksum_class(self, karate, backend_interned):
-        """Both construction paths land in the same golden-checksum class."""
-        config = EstimatorConfig(
-            backend="s2bdd",
-            samples=150,
-            rng=7,
-            s2bdd_interned=backend_interned,
-            s2bdd_cache=False,
-        )
-        engine = ReliabilityEngine(config).prepare(karate)
-        results = engine.query_many(SIX_KINDS, seed_indices=[0] * len(SIX_KINDS))
-        reference = ReliabilityEngine(
-            EstimatorConfig(backend="s2bdd", samples=150, rng=7)
-        ).prepare(karate)
+    def test_engine_six_kinds_one_checksum_class(
+        self, karate, backend_interned, monkeypatch
+    ):
+        """Both constructions land in the same golden-checksum class."""
+        config = EstimatorConfig(backend="s2bdd", samples=150, rng=7)
+        reference = ReliabilityEngine(config).prepare(karate)
         expected = reference.query_many(SIX_KINDS, seed_indices=[0] * len(SIX_KINDS))
+        if not backend_interned:
+            monkeypatch.setattr(S2BDD, "construct", dict_construct)
+        engine = ReliabilityEngine(config.replace(s2bdd_cache=False)).prepare(karate)
+        results = engine.query_many(SIX_KINDS, seed_indices=[0] * len(SIX_KINDS))
         assert results_checksum(results) == results_checksum(expected)
 
 
@@ -206,7 +257,6 @@ class TestDiagramCache:
         assert key != diagram_key(karate, (1, 33), base)
         assert key != diagram_key(karate, (1, 34), base.replace(max_width=64))
         assert key != diagram_key(karate, (1, 34), base.replace(samples=200))
-        assert key != diagram_key(karate, (1, 34), base.replace(s2bdd_interned=False))
         # The seed is NOT part of the key: constructions are rng-free for
         # deterministic orderings.
         assert key == diagram_key(karate, (1, 34), base.replace(rng=8))

@@ -4,17 +4,12 @@ from __future__ import annotations
 
 import json
 import random
-import warnings
 
 import pytest
 
 from repro.core.estimators import EstimatorKind
 from repro.core.frontier import EdgeOrdering
-from repro.core.reliability import (
-    ReliabilityResult,
-    estimate_reliability,
-    exact_reliability,
-)
+from repro.core.reliability import ReliabilityResult, exact_reliability
 from repro.engine import (
     EstimatorConfig,
     ReliabilityBackend,
@@ -29,20 +24,9 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.__main__ import main as cli_main
 from repro.experiments.config import ExperimentConfig
 from repro.graph.generators import random_connected_graph
-from tests.conftest import make_random_graph, random_terminals
+from tests.conftest import make_random_graph, random_terminals, s2bdd_estimate
 
 BUILTIN_BACKENDS = ("s2bdd", "sampling", "exact-bdd", "brute")
-
-
-def legacy_estimate(*args, **kwargs):
-    """Call the deprecated one-shot API without its DeprecationWarning.
-
-    Several tests compare engine results against the legacy surface; the
-    warning itself is covered by tests/test_queries.py.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return estimate_reliability(*args, **kwargs)
 
 
 class TestRegistry:
@@ -185,7 +169,7 @@ class TestReliabilityEngine:
         assert engine.stats.queries_served == 1
 
     def test_estimate_many_amortizes_preprocessing(self):
-        """Acceptance: >= 5 terminal sets, one decomposition, legacy-identical."""
+        """Acceptance: >= 5 terminal sets, one decomposition, one-shot-identical."""
         graph = random_connected_graph(15, 30, rng=5)
         terminal_sets = [[0, 4], [1, 8], [2, 9, 13], [3, 7], [5, 11, 14], [6, 10]]
         config = EstimatorConfig(samples=300, max_width=8, rng=123)
@@ -199,19 +183,19 @@ class TestReliabilityEngine:
         assert engine.stats.decompositions_computed == 1
         assert engine.stats.queries_served == len(terminal_sets)
 
-        # Batch results are identical to the legacy one-shot API (which
-        # recomputes preprocessing every call) under the same per-query seeds.
+        # Batch results are identical to one-shot backend estimates (which
+        # recompute preprocessing every call) under the same per-query seeds.
         for index, terminals in enumerate(terminal_sets):
-            legacy = legacy_estimate(
+            one_shot = s2bdd_estimate(
                 graph,
                 terminals,
                 samples=300,
                 max_width=8,
                 rng=engine.query_seed(index),
             )
-            assert batch[index].reliability == legacy.reliability
-            assert batch[index].lower_bound == legacy.lower_bound
-            assert batch[index].upper_bound == legacy.upper_bound
+            assert batch[index].reliability == one_shot.reliability
+            assert batch[index].lower_bound == one_shot.lower_bound
+            assert batch[index].upper_bound == one_shot.upper_bound
 
         # At least one query must actually have sampled (width cap 8), so
         # the equality above is a real RNG-equivalence check.
@@ -266,7 +250,7 @@ class TestReliabilityEngine:
         # Close the cycle: a second a-d path now backs up the a-b edge.
         graph.add_edge("d", "a", 0.9)
         fresh = engine.estimate(["a", "b"])
-        expected = legacy_estimate(graph, ["a", "b"], samples=100, rng=0)
+        expected = s2bdd_estimate(graph, ["a", "b"], samples=100, rng=0)
         assert fresh.reliability == pytest.approx(expected.reliability)
         assert fresh.reliability > 0.5  # not the stale bridge-only answer
         assert engine.stats.decompositions_computed == 2
@@ -282,8 +266,8 @@ class TestReliabilityEngine:
         graph = random_connected_graph(15, 30, rng=5)
         engine = ReliabilityEngine(EstimatorConfig(samples=300, max_width=8, rng=1))
         result = engine.estimate([0, 4, 9], graph=graph, rng=42)
-        legacy = legacy_estimate(graph, [0, 4, 9], samples=300, max_width=8, rng=42)
-        assert result.reliability == legacy.reliability
+        one_shot = s2bdd_estimate(graph, [0, 4, 9], samples=300, max_width=8, rng=42)
+        assert result.reliability == one_shot.reliability
 
 
 class TestBackendsByName:
@@ -316,7 +300,7 @@ class TestBackendsByName:
 class TestReliabilityResultSerialization:
     def test_to_dict_is_json_safe_and_round_trips(self):
         graph = random_connected_graph(12, 22, rng=4)
-        result = legacy_estimate(graph, [0, 5, 9], samples=200, rng=1)
+        result = s2bdd_estimate(graph, [0, 5, 9], samples=200, rng=1)
         payload = result.to_dict()
         text = json.dumps(payload)  # enums stringified, nothing exotic left
         assert payload["estimator"] == "mc"

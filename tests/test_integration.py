@@ -13,11 +13,10 @@ import pytest
 from repro.baselines.brute_force import brute_force_reliability
 from repro.baselines.exact_bdd import exact_bdd_reliability
 from repro.baselines.sampling import SamplingEstimator
-from repro.core.reliability import ReliabilityEstimator, estimate_reliability
 from repro.datasets import karate_club_graph
 from repro.graph.generators import random_connected_graph
 from repro.preprocess import preprocess
-from tests.conftest import make_random_graph, random_terminals
+from tests.conftest import make_random_graph, random_terminals, s2bdd_estimate
 
 
 class TestAllMethodsAgreeOnSmallGraphs:
@@ -29,8 +28,8 @@ class TestAllMethodsAgreeOnSmallGraphs:
         oracle = brute_force_reliability(graph, terminals)
 
         assert exact_bdd_reliability(graph, terminals) == pytest.approx(oracle, abs=1e-9)
-        with_extension = estimate_reliability(graph, terminals, samples=100, rng=seed)
-        without_extension = estimate_reliability(
+        with_extension = s2bdd_estimate(graph, terminals, samples=100, rng=seed)
+        without_extension = s2bdd_estimate(
             graph, terminals, samples=100, rng=seed, use_extension=False
         )
         assert with_extension.reliability == pytest.approx(oracle, abs=1e-9)
@@ -58,7 +57,7 @@ class TestAllMethodsAgreeOnSmallGraphs:
                 continue
             product = prep.bridge_probability
             for subproblem in prep.subproblems:
-                product *= estimate_reliability(
+                product *= s2bdd_estimate(
                     subproblem.graph, subproblem.terminals, samples=50, rng=seed
                 ).reliability
             assert product == pytest.approx(oracle, abs=1e-9)
@@ -70,7 +69,7 @@ class TestApproximateAgreement:
         terminals = [0, 6, 12]
         oracle = exact_bdd_reliability(graph, terminals)
         estimates = [
-            estimate_reliability(
+            s2bdd_estimate(
                 graph, terminals, samples=3000, max_width=8, rng=seed
             ).reliability
             for seed in range(8)
@@ -83,10 +82,10 @@ class TestApproximateAgreement:
     def test_estimators_mc_and_ht_agree(self):
         graph = random_connected_graph(14, 26, rng=5)
         terminals = [1, 7, 11]
-        mc = estimate_reliability(
+        mc = s2bdd_estimate(
             graph, terminals, samples=4000, max_width=8, estimator="mc", rng=0
         ).reliability
-        ht = estimate_reliability(
+        ht = s2bdd_estimate(
             graph, terminals, samples=4000, max_width=8, estimator="ht", rng=0
         ).reliability
         assert mc == pytest.approx(ht, abs=0.08)
@@ -102,8 +101,8 @@ class TestKarateEndToEnd:
     def test_exact_and_s2bdd_agree(self, karate):
         terminals = [1, 34, 17]
         oracle = exact_bdd_reliability(karate, terminals)
-        result = ReliabilityEstimator(samples=500, max_width=20_000, rng=0).estimate(
-            karate, terminals
+        result = s2bdd_estimate(
+            karate, terminals, samples=500, max_width=20_000, rng=0
         )
         assert result.exact
         assert result.reliability == pytest.approx(oracle, abs=1e-9)
@@ -114,8 +113,8 @@ class TestKarateEndToEnd:
         pro_errors = []
         sampling_errors = []
         for seed in range(3):
-            pro = ReliabilityEstimator(samples=300, max_width=20_000, rng=seed).estimate(
-                karate, terminals
+            pro = s2bdd_estimate(
+                karate, terminals, samples=300, max_width=20_000, rng=seed
             )
             sampled = SamplingEstimator(samples=300, rng=seed).estimate(karate, terminals)
             pro_errors.append(abs(pro.reliability - oracle))

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 from repro.baselines.brute_force import brute_force_reliability
 from repro.baselines.exact_bdd import exact_bdd_reliability
-from repro.core.reliability import estimate_reliability
 from repro.core.s2bdd import S2BDD
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.preprocess import preprocess
 from repro.preprocess.transform import transform
+from tests.conftest import s2bdd_estimate
 
 
 # ----------------------------------------------------------------------
@@ -69,7 +69,7 @@ class TestReliabilityLaws:
     @settings(max_examples=40, deadline=None)
     def test_reliability_is_within_unit_interval(self, case):
         graph, terminals = case
-        result = estimate_reliability(graph, terminals, samples=50, rng=1)
+        result = s2bdd_estimate(graph, terminals, samples=50, rng=1)
         assert 0.0 <= result.lower_bound <= result.reliability <= result.upper_bound <= 1.0
 
     @given(graphs_with_terminals())

@@ -13,11 +13,7 @@ from repro.analysis import (
     reliability_search,
     top_k_reliable_vertices,
 )
-from repro.core.reliability import (
-    ReliabilityEstimator,
-    estimate_reliability,
-    exact_reliability,
-)
+from repro.core.reliability import exact_reliability
 from repro.engine import EstimatorConfig, ReliabilityEngine
 from repro.engine.queries import (
     ALL_QUERY_KINDS,
@@ -40,7 +36,6 @@ from repro.exceptions import ConfigurationError, TerminalError
 from repro.experiments.__main__ import main as cli_main
 from repro.graph.generators import random_connected_graph
 from repro.graph.uncertain_graph import UncertainGraph
-from tests.conftest import make_random_graph, random_terminals
 
 ALL_QUERIES = (
     KTerminalQuery(terminals=(0, 3)),
@@ -335,13 +330,6 @@ class TestDeprecationHygiene:
             ).prepare(community_graph)
             engine.query_many(ALL_QUERIES)
             engine.estimate_many([[0, 4], [5, 9]])
-
-    def test_legacy_estimator_warns(self):
-        graph = make_random_graph(1)
-        with pytest.deprecated_call():
-            ReliabilityEstimator(samples=50, rng=0)
-        with pytest.deprecated_call():
-            estimate_reliability(graph, random_terminals(graph, 2, 2), samples=50, rng=0)
 
 
 class TestQueryKindCLI:

@@ -1,20 +1,17 @@
-"""Tests for the public ReliabilityEstimator / estimate_reliability API."""
+"""Tests of one-shot S²BDD estimates and the exact reliability helper."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.baselines.brute_force import brute_force_reliability
-from repro.core.reliability import (
-    ReliabilityEstimator,
-    estimate_reliability,
-    exact_reliability,
-)
+from repro.core.reliability import exact_reliability
+from repro.engine import EstimatorConfig
 from repro.exceptions import ConfigurationError, TerminalError
 from repro.graph.components import decompose_graph
 from repro.graph.generators import path_graph, random_connected_graph
 from repro.graph.uncertain_graph import UncertainGraph
-from tests.conftest import make_random_graph, random_terminals
+from tests.conftest import make_random_graph, random_terminals, s2bdd_estimate
 
 
 class TestEstimateReliability:
@@ -24,30 +21,30 @@ class TestEstimateReliability:
         graph = make_random_graph(seed)
         terminals = random_terminals(graph, seed + 100, 3)
         expected = brute_force_reliability(graph, terminals)
-        result = estimate_reliability(
+        result = s2bdd_estimate(
             graph, terminals, samples=200, rng=seed, use_extension=use_extension
         )
         assert result.reliability == pytest.approx(expected, abs=1e-9)
         assert result.exact
 
     def test_single_terminal(self, triangle_graph):
-        result = estimate_reliability(triangle_graph, ["a"], samples=10, rng=0)
+        result = s2bdd_estimate(triangle_graph, ["a"], samples=10, rng=0)
         assert result.reliability == 1.0
         assert result.exact
 
     def test_duplicate_terminals_collapse(self, triangle_graph):
-        result = estimate_reliability(triangle_graph, ["a", "a"], samples=10, rng=0)
+        result = s2bdd_estimate(triangle_graph, ["a", "a"], samples=10, rng=0)
         assert result.reliability == 1.0
 
     def test_disconnected_terminals_zero(self):
         graph = UncertainGraph.from_edge_list([(0, 1, 0.9), (2, 3, 0.9)])
-        result = estimate_reliability(graph, [0, 3], samples=10, rng=0)
+        result = s2bdd_estimate(graph, [0, 3], samples=10, rng=0)
         assert result.reliability == 0.0
         assert result.exact
 
     def test_bridge_factoring(self, bridge_graph):
         expected = brute_force_reliability(bridge_graph, [0, 5])
-        result = estimate_reliability(bridge_graph, [0, 5], samples=100, rng=0)
+        result = s2bdd_estimate(bridge_graph, [0, 5], samples=100, rng=0)
         assert result.reliability == pytest.approx(expected, abs=1e-9)
         # The bridge (probability 0.6) must exist; preprocessing factors it out.
         assert result.bridge_probability == pytest.approx(0.6)
@@ -55,13 +52,14 @@ class TestEstimateReliability:
 
     def test_precomputed_decomposition(self, bridge_graph):
         decomposition = decompose_graph(bridge_graph)
-        estimator = ReliabilityEstimator(samples=100, rng=0)
-        with_index = estimator.estimate(bridge_graph, [0, 5], decomposition=decomposition)
-        without_index = ReliabilityEstimator(samples=100, rng=0).estimate(bridge_graph, [0, 5])
+        with_index = s2bdd_estimate(
+            bridge_graph, [0, 5], samples=100, rng=0, decomposition=decomposition
+        )
+        without_index = s2bdd_estimate(bridge_graph, [0, 5], samples=100, rng=0)
         assert with_index.reliability == pytest.approx(without_index.reliability)
 
     def test_result_metadata(self, bridge_graph):
-        result = estimate_reliability(bridge_graph, [0, 5], samples=100, rng=0)
+        result = s2bdd_estimate(bridge_graph, [0, 5], samples=100, rng=0)
         assert result.samples_requested == 100
         assert 0.0 <= result.lower_bound <= result.reliability <= result.upper_bound <= 1.0
         assert result.elapsed_seconds >= 0.0
@@ -71,18 +69,11 @@ class TestEstimateReliability:
 
     def test_invalid_terminal_rejected(self, triangle_graph):
         with pytest.raises(TerminalError):
-            estimate_reliability(triangle_graph, ["zz"], samples=10)
+            s2bdd_estimate(triangle_graph, ["zz"], samples=10)
 
     def test_invalid_samples_rejected(self, triangle_graph):
         with pytest.raises(ConfigurationError):
-            ReliabilityEstimator(samples=0)
-
-    def test_estimator_accessors(self):
-        estimator = ReliabilityEstimator(samples=123, max_width=77, estimator="ht", use_extension=False)
-        assert estimator.samples == 123
-        assert estimator.max_width == 77
-        assert estimator.estimator.value == "ht"
-        assert not estimator.uses_extension
+            EstimatorConfig(backend="s2bdd", samples=0)
 
 
 class TestApproximateRegime:
@@ -90,7 +81,7 @@ class TestApproximateRegime:
         graph = random_connected_graph(15, 30, rng=5)
         terminals = [0, 4, 8]
         exact = exact_reliability(graph, terminals)
-        result = estimate_reliability(
+        result = s2bdd_estimate(
             graph, terminals, samples=2000, max_width=8, rng=1
         )
         assert result.lower_bound - 1e-9 <= exact <= result.upper_bound + 1e-9
@@ -101,7 +92,7 @@ class TestApproximateRegime:
         terminals = [0, 3, 7]
         exact = exact_reliability(graph, terminals)
         estimates = [
-            estimate_reliability(
+            s2bdd_estimate(
                 graph, terminals, samples=2000, max_width=6, rng=seed
             ).reliability
             for seed in range(6)

@@ -161,6 +161,6 @@ class TestValidation:
             bdd.run(-1)
 
     def test_compute_bounds_only(self):
-        bounds = S2BDD(path_graph(4, 0.9), [0, 3]).compute_bounds()
+        bounds = S2BDD(path_graph(4, 0.9), [0, 3]).construct(0).bounds
         assert bounds.lower == pytest.approx(0.9 ** 3)
         assert bounds.is_exact()

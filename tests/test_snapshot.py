@@ -213,6 +213,19 @@ class TestRejection:
         with pytest.raises(SnapshotError, match="format version"):
             load_catalog_snapshot(str(tmp_path / "snap"))
 
+    def test_retired_config_field_asks_for_rebuild(self, catalog, tmp_path):
+        # Snapshots from before the S²BDD construction flag was retired
+        # still carry it in their config.
+        catalog.save_snapshot(tmp_path / "snap")
+        path = tmp_path / "snap" / "catalog.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["s2bdd_interned"] = True
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="catalog.json") as excinfo:
+            GraphCatalog.load_snapshot(str(tmp_path / "snap"))
+        assert "s2bdd_interned" in str(excinfo.value)
+        assert "rebuild" in str(excinfo.value)
+
     def test_tampered_graph_fails_fingerprint_check(self, catalog, tmp_path):
         catalog.save_snapshot(tmp_path / "snap")
         directory = _entry_dir(tmp_path / "snap")

@@ -1,4 +1,4 @@
-"""Tests for the S²BDD node state and the exact layer transition.
+"""Tests for the exact layer transition of the (S²)BDD node states.
 
 The transition's correctness is also covered end to end (S²BDD vs brute
 force) in ``test_integration.py``; the tests here check the individual
@@ -11,14 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.frontier import EdgeOrdering, build_frontier_plan
-from repro.core.state import (
-    CONNECTED,
-    DISCONNECTED,
-    LIVE,
-    NodeState,
-    TransitionTable,
-    initial_state,
-)
+from repro.core.state import CONNECTED, DISCONNECTED, LIVE, TransitionTable
 from repro.graph.generators import path_graph
 from repro.graph.uncertain_graph import UncertainGraph
 
@@ -32,38 +25,6 @@ def _walk(table: TransitionTable, decisions) -> tuple:
         if sink != LIVE:
             return sink, None, None
     return sink, partition, counts
-
-
-class TestNodeState:
-    def test_merge_key_uses_flags_not_counts(self):
-        a = NodeState((0, 1), (2, 0))
-        b = NodeState((0, 1), (1, 0))
-        assert a.merge_key() == b.merge_key()
-
-    def test_merge_key_differs_on_partition(self):
-        a = NodeState((0, 0), (1,))
-        b = NodeState((0, 1), (1, 0))
-        assert a.merge_key() != b.merge_key()
-
-    def test_component_of(self):
-        state = NodeState((0, 1, 0), (1, 0))
-        assert state.component_of(["x", "y", "z"]) == {"x": 0, "y": 1, "z": 0}
-
-    def test_merge_key_is_memoised(self):
-        state = NodeState((0, 1), (2, 0))
-        assert state.merge_key() is state.merge_key()
-
-    def test_component_of_is_memoised_per_frontier(self):
-        state = NodeState((0, 1, 0), (1, 0))
-        frontier = ("x", "y", "z")
-        assert state.component_of(frontier) is state.component_of(frontier)
-        # A different frontier must not serve the stale mapping.
-        assert state.component_of(("a", "b", "c")) == {"a": 0, "b": 1, "c": 0}
-
-    def test_initial_state_is_empty(self):
-        state = initial_state()
-        assert state.partition == ()
-        assert state.num_components() == 0
 
 
 class TestPathTransitions:
@@ -178,14 +139,3 @@ class TestPriority:
         plan = build_frontier_plan(graph, strategy=EdgeOrdering.INPUT)
         table = TransitionTable(plan, [0, 2])
         assert table.priority(1, (), (), probability=0.5) > 0.0
-
-    def test_apply_state_wrapper(self):
-        graph = path_graph(3, 0.9)
-        plan = build_frontier_plan(graph, strategy=EdgeOrdering.INPUT)
-        table = TransitionTable(plan, [0, 2])
-        sink, state = table.apply_state(0, initial_state(), True)
-        assert sink == LIVE
-        assert isinstance(state, NodeState)
-        sink, state = table.apply_state(0, initial_state(), False)
-        assert sink == DISCONNECTED
-        assert state is None
