@@ -16,8 +16,11 @@ checks, that the kernel's answers are **bit-identical**:
 * ``connectivity_sweep`` — pair/k-terminal/threshold/reachability scans
   over one pool vs. the row-major Python loops they replaced.
 * ``sampling_backend`` — ``SamplingEstimator`` vs. its dict-based loop.
-* ``s2bdd_completions`` — stratum-completion sampling with the reusable
-  ``IntUnionFind`` vs. rebuilding a dict union-find per sample.
+* ``s2bdd_completions`` — stratum-completion sampling with the flat
+  parent-list kernel vs. the dict union-find sampler it replaced
+  (``tests/reference/s2bdd_completion.py``), for both the Monte Carlo and
+  the Horvitz–Thompson outputs, each checked tuple for tuple and random
+  state for random state.
 * ``query_kinds`` — all six typed query kinds through the engine, on both
   the ``sampling`` and ``s2bdd`` backends, checksummed against constants
   recorded on the pre-kernel implementation.  The ``s2bdd`` backend runs a
@@ -69,8 +72,10 @@ from repro.experiments.workloads import (
 from repro.obs import get_registry
 from repro.utils.union_find import UnionFind
 
-# The dict-keyed reference construction lives with the tests.
+# The dict-keyed reference construction and completion sampler live with
+# the tests.
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from tests.reference.s2bdd_completion import dict_sample_completion  # noqa: E402
 from tests.reference.s2bdd_dict import dict_construct  # noqa: E402
 
 #: Query kinds of the engine parity workload.
@@ -213,34 +218,6 @@ def dict_sampling_estimate(graph, terminals, samples: int, rng) -> Tuple[float, 
         if union_find.same_component(terminals):
             positive += 1
     return positive / samples, positive
-
-
-def dict_sample_completion(bdd: S2BDD, stratum, rng) -> bool:
-    """The dict-based ``S2BDD._sample_completion`` loop, verbatim (MC path)."""
-    plan = bdd.plan
-    layer = stratum.layer
-    frontier = plan.frontiers[layer]
-    union_find = UnionFind()
-    anchors = []
-    for vertex, label in zip(frontier, stratum.partition):
-        union_find.union(("component", label), vertex)
-    for label, count in enumerate(stratum.terminal_counts):
-        if count > 0:
-            anchors.append(("component", label))
-    unseen_terminals = [
-        terminal
-        for terminal in bdd._terminals
-        if plan.first_occurrence.get(terminal, plan.num_edges) >= layer
-    ]
-    random_value = rng.random
-    union = union_find.union
-    for edge in plan.edges[layer:]:
-        if random_value() < edge.probability:
-            if edge.u != edge.v:
-                union(edge.u, edge.v)
-    roots = {union_find.find(anchor) for anchor in anchors}
-    roots.update(union_find.find(terminal) for terminal in unseen_terminals)
-    return len(roots) <= 1
 
 
 def canonical_partition(labels) -> Tuple[int, ...]:
@@ -386,6 +363,18 @@ def bench_sampling_backend(graph, samples: int, seed: int) -> Dict:
     }
 
 
+def _timed_completions(sample, picks, seed: int, track_world: bool):
+    """Complete ``picks`` through ``sample``; return (seconds, outcomes, rngs)."""
+    outcomes = []
+    rngs = []
+    t0 = time.perf_counter()
+    for i, stratum in enumerate(picks):
+        rng = random.Random(seed + i)
+        outcomes.append(sample(stratum, rng, track_world=track_world))
+        rngs.append(rng)
+    return time.perf_counter() - t0, outcomes, rngs
+
+
 def bench_s2bdd_completions(graph, completions: int, seed: int) -> Dict:
     vertices = list(graph.vertices())
     terminals = (vertices[0], vertices[len(vertices) // 3], vertices[-1])
@@ -396,31 +385,28 @@ def bench_s2bdd_completions(graph, completions: int, seed: int) -> Dict:
         return {"skipped": "construction stayed exact (no strata)"}
     picks = [strata[i % len(strata)] for i in range(completions)]
 
-    t0 = time.perf_counter()
-    kernel_flags = [
-        bdd._sample_completion(stratum, random.Random(seed + i))[0]
-        for i, stratum in enumerate(picks)
-    ]
-    kernel_seconds = time.perf_counter() - t0
+    def reference(stratum, rng, *, track_world):
+        return dict_sample_completion(bdd, stratum, rng, track_world=track_world)
 
-    t0 = time.perf_counter()
-    dict_flags = [
-        dict_sample_completion(bdd, stratum, random.Random(seed + i))
-        for i, stratum in enumerate(picks)
-    ]
-    dict_seconds = time.perf_counter() - t0
-
-    check(
-        kernel_flags == dict_flags,
-        "S2BDD stratum completions diverge from the dict-based sampler",
-    )
-    return {
-        "completions": completions,
-        "strata": len(strata),
-        "kernel_seconds": round(kernel_seconds, 4),
-        "dict_path_seconds": round(dict_seconds, 4),
-        "speedup": round(dict_seconds / kernel_seconds, 2),
-    }
+    section: Dict = {"completions": completions, "strata": len(strata)}
+    for label, track_world in (("", False), ("ht_", True)):
+        kernel_seconds, kernel_outcomes, kernel_rngs = _timed_completions(
+            bdd._sample_completion, picks, seed, track_world
+        )
+        dict_seconds, dict_outcomes, dict_rngs = _timed_completions(
+            reference, picks, seed, track_world
+        )
+        check(
+            kernel_outcomes == dict_outcomes
+            and [rng.getstate() for rng in kernel_rngs]
+            == [rng.getstate() for rng in dict_rngs],
+            f"S2BDD stratum completions (track_world={track_world}) diverge "
+            f"from the dict-based sampler",
+        )
+        section[f"{label}kernel_seconds"] = round(kernel_seconds, 4)
+        section[f"{label}dict_path_seconds"] = round(dict_seconds, 4)
+        section[f"{label}speedup"] = round(dict_seconds / kernel_seconds, 2)
+    return section
 
 
 def _s2bdd_construction_seconds() -> float:
@@ -663,12 +649,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"sweep {entry['connectivity_sweep']['speedup']}x, "
             f"combined {entry['combined_speedup']}x, "
             f"sampling backend {entry['sampling_backend']['speedup']}x, "
-            f"s2bdd completions {entry['s2bdd_completions'].get('speedup', 'n/a')}x, "
+            f"s2bdd completions {entry['s2bdd_completions'].get('speedup', 'n/a')}x "
+            f"(HT {entry['s2bdd_completions'].get('ht_speedup', 'n/a')}x), "
             f"s2bdd construction {entry['query_kinds']['s2bdd']['construction_speedup']}x "
             f"({entry['query_kinds']['s2bdd']['cache_hits']} cache hits)"
         )
     print(
-        "parity: ok (pools, scans, sampling, completions, six query kinds "
+        "parity: ok (pools, scans, sampling, MC and HT completions, six query kinds "
         "on reference + interned/cached s2bdd, repeated passes)"
     )
 

@@ -8,15 +8,17 @@ what keeps the diagram small.
 
 The quality of the edge order determines the frontier width, and therefore
 both the exactness horizon of the S²BDD and how quickly its bounds tighten.
-This module provides several ordering strategies and precomputes, for a
-chosen order, everything the construction needs per layer: which vertices
-enter the frontier, which vertices leave it, and the frontier itself.
+This module provides several ordering strategies and, for a chosen order,
+the per-layer bookkeeping the construction needs.  One pass over the edges
+records which vertices enter and leave the frontier at each layer and the
+widest frontier.  The frontier itself and the uncertain degrees are swept
+on demand, only up to the furthest layer a construction reaches: a width-
+capped S²BDD that stops early on a large graph never builds the rest.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -48,40 +50,54 @@ class EdgeOrdering(str, enum.Enum):
     RANDOM = "random"
 
 
-@dataclass
 class FrontierPlan:
-    """Precomputed frontier structure for one edge order.
+    """Frontier structure for one edge order.
 
     Attributes
     ----------
     edges:
         The edges in processing order.
-    frontiers:
-        ``frontiers[l]`` is the frontier *after* processing the first ``l``
-        edges (so ``frontiers[0]`` is empty and ``frontiers[|E|]`` is empty
-        again), stored as a sorted tuple for deterministic state keys.
     entering:
         ``entering[l]`` lists the vertices that join the frontier when edge
         ``l`` (0-based) is processed.
     leaving:
         ``leaving[l]`` lists the vertices whose last incident edge is edge
         ``l``; they retire from the frontier right after it is processed.
-    uncertain_degree:
-        ``uncertain_degree[l][v]`` is the number of still-unprocessed edges
-        incident to frontier vertex ``v`` after processing edge ``l``; this
-        is the ``d`` attribute used by the deletion heuristic (Eq. 10).
     first_occurrence / last_occurrence:
         Per vertex, the index of the first/last incident edge in the order.
         Vertices with no incident edge do not appear.
+
+    The per-layer frontier and uncertain degrees are read through
+    :meth:`frontier` and :meth:`uncertain_degree`.  They come from one
+    forward sweep over the edges that runs only as far as the furthest
+    layer asked for and memoises every layer it passes, so a construction
+    that stops early never pays for the layers it did not reach.  The sweep
+    mutates the plan; once a construction has reached a layer, reading it
+    again is read-only.
     """
 
-    edges: Tuple[Edge, ...]
-    frontiers: Tuple[Tuple[Vertex, ...], ...]
-    entering: Tuple[Tuple[Vertex, ...], ...]
-    leaving: Tuple[Tuple[Vertex, ...], ...]
-    uncertain_degree: Tuple[Dict[Vertex, int], ...]
-    first_occurrence: Dict[Vertex, int]
-    last_occurrence: Dict[Vertex, int]
+    def __init__(
+        self,
+        edges: Tuple[Edge, ...],
+        entering: Tuple[Tuple[Vertex, ...], ...],
+        leaving: Tuple[Tuple[Vertex, ...], ...],
+        first_occurrence: Dict[Vertex, int],
+        last_occurrence: Dict[Vertex, int],
+        max_frontier_size: int,
+        remaining: Dict[Vertex, int],
+    ) -> None:
+        self.edges = edges
+        self.entering = entering
+        self.leaving = leaving
+        self.first_occurrence = first_occurrence
+        self.last_occurrence = last_occurrence
+        self._max_frontier_size = max_frontier_size
+        # Sweep state: the active frontier set and, per vertex, its
+        # still-unprocessed incident edges after the last swept layer.
+        self._active: Set[Vertex] = set()
+        self._remaining = remaining
+        self._frontiers: List[Tuple[Vertex, ...]] = [()]
+        self._degrees: List[Dict[Vertex, int]] = [{}]
 
     @property
     def num_edges(self) -> int:
@@ -90,22 +106,42 @@ class FrontierPlan:
 
     def max_frontier_size(self) -> int:
         """Return the largest frontier size over all layers."""
-        return max((len(front) for front in self.frontiers), default=0)
+        return self._max_frontier_size
 
-    def unseen_terminal_count(
-        self, terminals: Sequence[Vertex], layer: int
-    ) -> int:
-        """Number of terminals whose first incident edge comes at or after ``layer``.
+    def frontier(self, layer: int) -> Tuple[Vertex, ...]:
+        """The frontier after the first ``layer`` edges, sorted by ``repr``.
 
-        ``layer`` counts processed edges, i.e. ``layer == l`` means edges
-        ``0 .. l-1`` have been processed.
+        ``frontier(0)`` and ``frontier(num_edges)`` are empty.
         """
-        count = 0
-        for terminal in terminals:
-            first = self.first_occurrence.get(terminal)
-            if first is None or first >= layer:
-                count += 1
-        return count
+        if not 0 <= layer < len(self._frontiers):
+            self._sweep_to(layer)
+        return self._frontiers[layer]
+
+    def uncertain_degree(self, layer: int) -> Dict[Vertex, int]:
+        """Per vertex of ``frontier(layer)``, its still-unprocessed edges.
+
+        This is the ``d`` attribute used by the deletion heuristic (Eq. 10);
+        a self-loop counts once.
+        """
+        if not 0 <= layer < len(self._degrees):
+            self._sweep_to(layer)
+        return self._degrees[layer]
+
+    def _sweep_to(self, layer: int) -> None:
+        if not 0 <= layer <= len(self.edges):
+            raise IndexError(f"layer {layer} outside 0..{len(self.edges)}")
+        active = self._active
+        remaining = self._remaining
+        for index in range(len(self._frontiers) - 1, layer):
+            edge = self.edges[index]
+            active.update(self.entering[index])
+            remaining[edge.u] -= 1
+            if edge.u != edge.v:
+                remaining[edge.v] -= 1
+            active.difference_update(self.leaving[index])
+            frontier = tuple(sorted(active, key=repr))
+            self._frontiers.append(frontier)
+            self._degrees.append({vertex: remaining[vertex] for vertex in frontier})
 
 
 def order_edges(
@@ -154,55 +190,38 @@ def build_frontier_plan(
 
     first: Dict[Vertex, int] = {}
     last: Dict[Vertex, int] = {}
+    remaining: Dict[Vertex, int] = {}
     for index, edge in enumerate(ordered):
         for vertex in (edge.u, edge.v):
             first.setdefault(vertex, index)
             last[vertex] = index
-
-    num_edges = len(ordered)
-    frontiers: List[Tuple[Vertex, ...]] = [()] * (num_edges + 1)
-    entering: List[Tuple[Vertex, ...]] = [()] * num_edges
-    leaving: List[Tuple[Vertex, ...]] = [()] * num_edges
-    uncertain_degree: List[Dict[Vertex, int]] = [dict() for _ in range(num_edges + 1)]
-
-    active: Set[Vertex] = set()
-    remaining: Dict[Vertex, int] = {}
-    for edge in ordered:
         remaining[edge.u] = remaining.get(edge.u, 0) + 1
         if edge.u != edge.v:
             remaining[edge.v] = remaining.get(edge.v, 0) + 1
 
+    entering: List[Tuple[Vertex, ...]] = []
+    leaving: List[Tuple[Vertex, ...]] = []
+    # A vertex enters at its first edge and leaves after its last, so the
+    # frontier size after each edge is a running count.
+    size = widest = 0
     for index, edge in enumerate(ordered):
-        enter = tuple(
-            vertex
-            for vertex in dict.fromkeys((edge.u, edge.v))
-            if first[vertex] == index
-        )
-        entering[index] = enter
-        active.update(enter)
-        remaining[edge.u] -= 1
-        if edge.u != edge.v:
-            remaining[edge.v] -= 1
-        leave = tuple(
-            vertex
-            for vertex in dict.fromkeys((edge.u, edge.v))
-            if last[vertex] == index
-        )
-        leaving[index] = leave
-        active.difference_update(leave)
-        frontiers[index + 1] = tuple(sorted(active, key=repr))
-        uncertain_degree[index + 1] = {
-            vertex: remaining[vertex] for vertex in frontiers[index + 1]
-        }
+        endpoints = dict.fromkeys((edge.u, edge.v))
+        enter = tuple(vertex for vertex in endpoints if first[vertex] == index)
+        leave = tuple(vertex for vertex in endpoints if last[vertex] == index)
+        entering.append(enter)
+        leaving.append(leave)
+        size += len(enter) - len(leave)
+        if size > widest:
+            widest = size
 
     return FrontierPlan(
         edges=tuple(ordered),
-        frontiers=tuple(frontiers),
         entering=tuple(entering),
         leaving=tuple(leaving),
-        uncertain_degree=tuple(uncertain_degree),
         first_occurrence=first,
         last_occurrence=last,
+        max_frontier_size=widest,
+        remaining=remaining,
     )
 
 

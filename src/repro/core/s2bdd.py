@@ -45,6 +45,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, compress, repeat, starmap
+from operator import lt
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.bounds import ReliabilityBounds
@@ -53,7 +55,6 @@ from repro.core.frontier import EdgeOrdering, FrontierPlan, build_frontier_plan
 from repro.core.state import TransitionTable
 from repro.core.stratified import reduced_sample_count
 from repro.exceptions import ConfigurationError
-from repro.graph.compiled import IntUnionFind
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.utils.kahan import KahanSum
 from repro.utils.rng import RandomLike, resolve_rng
@@ -199,8 +200,9 @@ class S2BDD:
             rng=self._rng,
         )
         self._transitions = TransitionTable(self._plan, self._terminals)
-        # Flat-int state for the stratum-completion sampler, built lazily
-        # on the first sampling run (exact diagrams never need it).
+        # Flat-int tables for the stratum-completion sampler, built lazily
+        # on the first sampling run (exact diagrams never need it).  They
+        # are read-only, so two threads racing to build them both succeed.
         self._completions: Optional[_StratumCompletionKernel] = None
 
     # ------------------------------------------------------------------
@@ -856,11 +858,10 @@ class S2BDD:
         were sampled as existing (``None`` unless ``track_world`` is set;
         it is only needed by the Horvitz–Thompson estimator).
 
-        Delegates to the flat-int completion kernel: one
-        :class:`~repro.graph.compiled.IntUnionFind` is reset per sample
-        instead of a dict-backed union-find being rebuilt, while the
-        uniform stream (one draw per remaining edge, in plan order) and
-        therefore every result stay bit-identical.
+        Delegates to the flat-int completion kernel, which copies a flat
+        parent list per sample instead of building a dict-backed
+        union-find, while the uniform stream (one draw per remaining edge,
+        in plan order) and therefore every result stay bit-identical.
         """
         kernel = self._completions
         if kernel is None:
@@ -871,23 +872,23 @@ class S2BDD:
 
 
 class _StratumCompletionKernel:
-    """Per-diagram flat state for sampling stratum completions.
+    """Per-diagram read-only tables for sampling stratum completions.
 
-    Interns the graph's vertices to ``0..n-1`` once, mirrors the plan's
-    edges into parallel index/probability lists, and keeps a single
-    reusable :class:`~repro.graph.compiled.IntUnionFind` whose slots
-    ``n + label`` act as the virtual per-component anchors the dict-based
-    sampler used to build from ``("component", label)`` tuples.
+    Interns the graph's vertices to ``0..n-1`` once and mirrors the plan's
+    edges into parallel lists of endpoint pairs, probabilities and ids.
+    Each sample copies a template parent list — the ``n`` vertices, then
+    one anchor slot ``n + label`` per frontier component, standing in for
+    the ``("component", label)`` nodes of the dict-based sampler — so
+    samples share no mutable state, and concurrent queries on one cached
+    diagram cannot disturb each other.
     """
 
     __slots__ = (
-        "_union_find",
+        "_template",
         "_anchor_base",
-        "_edge_u",
-        "_edge_v",
-        "_edge_probability",
-        "_edge_id",
-        "_num_edges",
+        "_pairs",
+        "_probabilities",
+        "_edge_ids",
         "_plan",
         "_terminals",
         "_vertex_index",
@@ -896,20 +897,18 @@ class _StratumCompletionKernel:
     )
 
     def __init__(self, graph: UncertainGraph, plan: FrontierPlan, terminals) -> None:
-        self._vertex_index = {
+        index = self._vertex_index = {
             vertex: position for position, vertex in enumerate(graph.vertices())
         }
-        self._anchor_base = len(self._vertex_index)
-        self._union_find = IntUnionFind(self._anchor_base + plan.max_frontier_size())
-        index = self._vertex_index
-        self._edge_u = [index[edge.u] for edge in plan.edges]
-        self._edge_v = [index[edge.v] for edge in plan.edges]
-        self._edge_probability = [edge.probability for edge in plan.edges]
-        self._edge_id = [edge.id for edge in plan.edges]
-        self._num_edges = plan.num_edges
+        self._anchor_base = len(index)
+        self._template = list(range(len(index) + plan.max_frontier_size()))
+        self._pairs = [(index[edge.u], index[edge.v]) for edge in plan.edges]
+        self._probabilities = [edge.probability for edge in plan.edges]
+        self._edge_ids = [edge.id for edge in plan.edges]
         self._plan = plan
         self._terminals = terminals
-        # layer -> interned frontier / still-unseen terminal indices.
+        # layer -> interned frontier / still-unseen terminal indices.  Every
+        # writer stores the same immutable value, so concurrent fills agree.
         self._frontier_cache: Dict[int, Tuple[int, ...]] = {}
         self._unseen_cache: Dict[int, Tuple[int, ...]] = {}
 
@@ -917,7 +916,7 @@ class _StratumCompletionKernel:
         cached = self._frontier_cache.get(layer)
         if cached is None:
             index = self._vertex_index
-            cached = tuple(index[vertex] for vertex in self._plan.frontiers[layer])
+            cached = tuple(index[vertex] for vertex in self._plan.frontier(layer))
             self._frontier_cache[layer] = cached
         return cached
 
@@ -940,44 +939,60 @@ class _StratumCompletionKernel:
     ) -> Tuple[bool, float, Optional[frozenset]]:
         """Draw one completion of ``stratum``; see ``S2BDD._sample_completion``."""
         layer = stratum.layer
-        union_find = self._union_find
-        union_find.reset()
-        union = union_find.union
         base = self._anchor_base
-
-        # Seed with the frontier partition; the anchor slot per component
-        # carries the "this component holds terminals" role.
+        parent = self._template.copy()
+        # Seed with the frontier partition: each frontier vertex points at
+        # its component's anchor slot.
         for vertex, label in zip(self._frontier_indices(layer), stratum.partition):
-            union(base + label, vertex)
+            parent[vertex] = base + label
+
+        # One uniform per remaining edge, in plan order.  The draws are lazy:
+        # every consumer below runs them to the end, so the stream always
+        # advances by exactly that many values.
+        draws = starmap(rng.random, repeat((), len(self._pairs) - layer))
+        probabilities = self._probabilities[layer:]
+        log_conditional = 0.0
+        chosen: Optional[frozenset] = None
+        if track_world:
+            flags = list(map(lt, draws, probabilities))
+            edge_ids: List[int] = []
+            for present, probability, edge_id in zip(
+                flags, probabilities, self._edge_ids[layer:]
+            ):
+                if present:
+                    log_conditional += _safe_log(probability)
+                    edge_ids.append(edge_id)
+                else:
+                    log_conditional += _safe_log(1.0 - probability)
+            chosen = frozenset(edge_ids)
+            present_pairs = compress(self._pairs[layer:], flags)
+        else:
+            present_pairs = compress(self._pairs[layer:], map(lt, draws, probabilities))
+
+        # Union the present edges with inline path-halving finds.
+        for u, v in present_pairs:
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u != v:
+                parent[u] = v
+
+        # Connected iff every terminal-bearing component and every unseen
+        # terminal share one root.
         anchors = [
             base + label
             for label, count in enumerate(stratum.terminal_counts)
             if count > 0
         ]
-
-        log_conditional = 0.0
-        chosen: List[int] = []
-        random_value = rng.random
-        edge_u = self._edge_u
-        edge_v = self._edge_v
-        probabilities = self._edge_probability
-        for position in range(layer, self._num_edges):
-            if random_value() < probabilities[position]:
-                if track_world:
-                    log_conditional += _safe_log(probabilities[position])
-                    chosen.append(self._edge_id[position])
-                u = edge_u[position]
-                v = edge_v[position]
-                if u != v:
-                    union(u, v)
-            elif track_world:
-                log_conditional += _safe_log(1.0 - probabilities[position])
-
-        find = union_find.find
-        roots = {find(anchor) for anchor in anchors}
-        roots.update(find(terminal) for terminal in self._unseen_terminal_indices(layer))
-        connected = len(roots) <= 1
-        return connected, log_conditional, frozenset(chosen) if track_world else None
+        roots = set()
+        for element in chain(anchors, self._unseen_terminal_indices(layer)):
+            while parent[element] != element:
+                element = parent[element]
+            roots.add(element)
+        return len(roots) <= 1, log_conditional, chosen
 
 
 def _bisect(cumulative: Sequence[float], value: float) -> int:

@@ -27,14 +27,16 @@ labels canonicalised to first-appearance order (0, 1, 2, ...), and
 ``terminal_counts[c]`` is the number of terminals component ``c`` has
 absorbed.
 
-:class:`TransitionTable` precomputes, per layer, integer positions for the
-edge endpoints, the entering vertices and the surviving frontier, so that
-the per-node work in the innermost construction loop is pure list
-manipulation.  :meth:`TransitionTable.apply` (the exact BDD baseline's
-transition) applies one edge state, detects 1-sink / 0-sink outcomes early
-(a strict superset of Lemmas 4.1 and 4.2), retires vertices that leave the
-frontier, and returns the canonical child state; the S²BDD inlines the
-same transition over :meth:`TransitionTable.layer`.
+:class:`TransitionTable` holds, per layer, integer positions for the edge
+endpoints, the entering vertices and the surviving frontier, so that the
+per-node work in the innermost construction loop is pure list
+manipulation.  A layer's context is built the first time a construction
+reaches the layer and memoised; layers past an early stop are never built.
+:meth:`TransitionTable.apply` (the exact BDD baseline's transition) applies
+one edge state, detects 1-sink / 0-sink outcomes early (a strict superset
+of Lemmas 4.1 and 4.2), retires vertices that leave the frontier, and
+returns the canonical child state; the S²BDD inlines the same transition
+over :meth:`TransitionTable.layer`.
 """
 
 from __future__ import annotations
@@ -102,9 +104,8 @@ class TransitionTable:
         self._terminals: Tuple[Vertex, ...] = tuple(dict.fromkeys(terminals))
         self._terminal_set: Set[Vertex] = set(self._terminals)
         self.k = len(self._terminals)
-        self._layers: List[_LayerContext] = [
-            self._build_layer(index) for index in range(plan.num_edges)
-        ]
+        # layer index -> context, filled on first use.
+        self._layers: Dict[int, _LayerContext] = {}
 
     # ------------------------------------------------------------------
     # Construction of the per-layer contexts
@@ -112,8 +113,8 @@ class TransitionTable:
     def _build_layer(self, layer_index: int) -> _LayerContext:
         plan = self._plan
         edge = plan.edges[layer_index]
-        frontier_before = plan.frontiers[layer_index]
-        frontier_after = plan.frontiers[layer_index + 1]
+        frontier_before = plan.frontier(layer_index)
+        frontier_after = plan.frontier(layer_index + 1)
         entering = plan.entering[layer_index]
         leaving = set(plan.leaving[layer_index])
 
@@ -128,7 +129,7 @@ class TransitionTable:
 
         # Remaining uncertain edges per current-frontier vertex (used only
         # by the deletion heuristic, which scores nodes of this layer).
-        degrees_before = plan.uncertain_degree[layer_index]
+        degrees_before = plan.uncertain_degree(layer_index)
         frontier_degrees = tuple(
             degrees_before.get(vertex, 1) for vertex in frontier_before
         )
@@ -163,12 +164,15 @@ class TransitionTable:
         )
 
     def layer(self, layer_index: int) -> _LayerContext:
-        """The precomputed index maps for one layer.
+        """The index maps for one layer, built on first use and memoised.
 
         The S²BDD construction drives its inlined transition straight off
         these maps instead of calling :meth:`apply` per node.
         """
-        return self._layers[layer_index]
+        context = self._layers.get(layer_index)
+        if context is None:
+            context = self._layers[layer_index] = self._build_layer(layer_index)
+        return context
 
     # ------------------------------------------------------------------
     # Transition
@@ -195,7 +199,9 @@ class TransitionTable:
         This is the innermost loop of the exact BDD construction, so it
         works on plain lists indexed by precomputed integer positions.
         """
-        context = self._layers[layer_index]
+        context = self._layers.get(layer_index)
+        if context is None:
+            context = self.layer(layer_index)
         k = self.k
 
         labels = list(partition)
@@ -284,7 +290,10 @@ class TransitionTable:
         k = self.k if self.k > 0 else 1
         if not partition:
             return probability / (2.0 * k)
-        degrees = self._layers[layer_index].frontier_degrees
+        context = self._layers.get(layer_index)
+        if context is None:
+            context = self.layer(layer_index)
+        degrees = context.frontier_degrees
         component_degree = [0] * len(counts)
         for position, label in enumerate(partition):
             component_degree[label] += degrees[position]

@@ -9,7 +9,6 @@ assignment models, and edge-list I/O.
 
 from repro.graph.compiled import (
     CompiledGraph,
-    IntUnionFind,
     compile_graph,
     compiled_fingerprint,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "CompiledGraph",
     "Edge",
     "GraphDecomposition",
-    "IntUnionFind",
     "PossibleWorld",
     "UncertainGraph",
     "compile_graph",

@@ -14,10 +14,10 @@ into flat integer form and lets the hot loops run over it many times:
   ``array('i')``/``array('d')``, and a CSR-style adjacency over the
   non-loop edges.  ``vertex_index``/``edge_index`` map back to the
   caller's hashable labels, so the high-level APIs keep their surface.
-* :class:`IntUnionFind` — a flat-array union-find over ``0..n-1`` with
-  union by size, iterative path halving, and an O(1) :meth:`~IntUnionFind.reset`
-  (epoch stamping), so one instance serves thousands of sampled worlds
-  without reallocation.
+* **Flat union-find** — a sampled world's components live in a plain
+  ``parent`` list over ``0..n-1``, copied from a template per world and
+  merged with inline path-halving finds, so no state outlives a world.
+  The S²BDD's stratum completions use the same scheme.
 * **Bitset worlds** — a sampled world is a Python ``int`` bitmask over
   edge positions; connectivity is a single CSR walk gated on the mask.
 * **Batched world sampling** — :meth:`CompiledGraph.sample_component_labels`
@@ -51,7 +51,6 @@ from typing import (
     Tuple,
 )
 
-from repro.exceptions import ConfigurationError
 from repro.obs.trace import span
 
 if TYPE_CHECKING:
@@ -61,7 +60,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CompiledGraph",
-    "IntUnionFind",
     "compile_graph",
     "compiled_fingerprint",
     "invalidate_compiled",
@@ -70,99 +68,6 @@ __all__ = [
 ]
 
 Vertex = Hashable
-
-
-class IntUnionFind:
-    """Flat-array disjoint sets over the integers ``0..n-1``.
-
-    The fast sibling of :class:`~repro.utils.union_find.UnionFind` for
-    callers that already work in interned-index space: parents and sizes
-    live in flat lists, :meth:`find` uses iterative path halving, and
-    :meth:`union` merges by size.
-
-    The structure is built for *reuse across sampled worlds*:
-    :meth:`reset` restores every element to a singleton in O(1) by bumping
-    an epoch counter — entries are lazily re-initialized the first time
-    they are touched after a reset, so a loop that samples thousands of
-    worlds touches only the vertices its edges actually reach.
-    """
-
-    __slots__ = ("_n", "_parent", "_size", "_stamp", "_epoch", "_merges")
-
-    def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ConfigurationError(f"IntUnionFind size must be >= 0, got {n}")
-        self._n = n
-        self._parent = list(range(n))
-        self._size = [1] * n
-        self._stamp = [0] * n
-        self._epoch = 0
-        self._merges = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"IntUnionFind(n={self._n}, components={self.component_count})"
-
-    def reset(self) -> None:
-        """Restore every element to a singleton set in O(1)."""
-        self._epoch += 1
-        self._merges = 0
-
-    def find(self, element: int) -> int:
-        """Return the canonical representative of ``element``'s set."""
-        parent = self._parent
-        if self._stamp[element] != self._epoch:
-            # First touch since the last reset: re-initialize lazily.
-            self._stamp[element] = self._epoch
-            parent[element] = element
-            self._size[element] = 1
-            return element
-        while parent[element] != element:
-            # Path halving: point at the grandparent and step there.  Every
-            # entry on the chain was written this epoch, so no stamp checks
-            # are needed past the head.
-            parent[element] = parent[parent[element]]
-            element = parent[element]
-        return element
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of ``a`` and ``b``; ``True`` iff a merge happened."""
-        root_a = self.find(a)
-        root_b = self.find(b)
-        if root_a == root_b:
-            return False
-        size = self._size
-        if size[root_a] < size[root_b]:
-            root_a, root_b = root_b, root_a
-        self._parent[root_b] = root_a
-        size[root_a] += size[root_b]
-        self._merges += 1
-        return True
-
-    def connected(self, a: int, b: int) -> bool:
-        """Return ``True`` if ``a`` and ``b`` share a set."""
-        return self.find(a) == self.find(b)
-
-    def same_component(self, elements: Iterable[int]) -> bool:
-        """Return ``True`` if every element shares one set (vacuously for <=1)."""
-        iterator = iter(elements)
-        try:
-            root = self.find(next(iterator))
-        except StopIteration:
-            return True
-        find = self.find
-        return all(find(element) == root for element in iterator)
-
-    @property
-    def component_count(self) -> int:
-        """Number of disjoint sets (singletons included)."""
-        return self._n - self._merges
-
-    def component_size(self, element: int) -> int:
-        """Return the size of the set containing ``element``."""
-        return self._size[self.find(element)]
 
 
 class CompiledGraph:

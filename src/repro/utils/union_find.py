@@ -11,10 +11,11 @@ the usual near-constant amortised cost per operation in a single pass per
 find.  Elements may be any hashable objects; they are registered lazily on
 first use.
 
-For hot loops that can intern their elements to ``0..n-1`` up front, the
-flat-array :class:`repro.graph.compiled.IntUnionFind` (which adds an O(1)
-``reset()`` for reuse across sampled worlds) is the faster choice; this
-class remains the general structure for hashable-element callers.
+For hot loops that can intern their elements to ``0..n-1`` up front, a
+flat ``parent`` list with inline path-halving finds (as in
+:mod:`repro.graph.compiled` and the S²BDD's stratum completions) is the
+faster choice; this class remains the general structure for
+hashable-element callers.
 """
 
 from __future__ import annotations

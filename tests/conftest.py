@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.engine import EstimatorConfig, create_backend
 from repro.graph.generators import random_connected_graph
@@ -45,6 +46,23 @@ def path_with_dangling() -> UncertainGraph:
 def make_random_graph(seed: int, num_vertices: int = 7, num_edges: int = 11) -> UncertainGraph:
     """A connected random graph small enough for brute-force enumeration."""
     return random_connected_graph(num_vertices, num_edges, rng=seed)
+
+
+@st.composite
+def uncertain_graphs(draw, max_vertices: int = 8, max_edges: int = 14):
+    """Small uncertain multigraphs: loops and parallel edges included."""
+    num_vertices = draw(st.integers(min_value=1, max_value=max_vertices))
+    vertices = [f"v{i}" for i in range(num_vertices)]
+    num_edges = draw(st.integers(min_value=0, max_value=max_edges))
+    graph = UncertainGraph(name="hyp")
+    for vertex in vertices:
+        graph.add_vertex(vertex)
+    for _ in range(num_edges):
+        u = draw(st.integers(min_value=0, max_value=num_vertices - 1))
+        v = draw(st.integers(min_value=0, max_value=num_vertices - 1))
+        probability = draw(st.floats(min_value=0.05, max_value=1.0, allow_nan=False))
+        graph.add_edge(vertices[u], vertices[v], probability)
+    return graph
 
 
 def random_terminals(graph: UncertainGraph, seed: int, k: int) -> list:

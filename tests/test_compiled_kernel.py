@@ -4,8 +4,8 @@ Three families of guarantees:
 
 * **Round trip** — the compiled form is a faithful int-interned view of the
   graph (vertices, edges, probabilities, CSR adjacency).
-* **Equivalence** — bitmask connectivity and the flat union-find agree with
-  the dict-based reference implementations on arbitrary inputs.
+* **Equivalence** — bitmask connectivity and component labelling agree
+  with the dict-based reference implementations on arbitrary inputs.
 * **Parity** — the batched world sampler draws the same uniforms in the
   same order as the pre-kernel implementation and produces bit-identical
   labellings, so every fixed-seed result in the library is unchanged.  The
@@ -17,17 +17,14 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.sampling import SamplingEstimator
 from repro.core.estimators import EstimatorKind
 from repro.engine.worlds import WorldPool, chunk_seed, chunk_spans
-from repro.exceptions import ConfigurationError
 from repro.graph.compiled import (
     CompiledGraph,
-    IntUnionFind,
     compile_graph,
     compiled_fingerprint,
     is_compiled_cached,
@@ -38,30 +35,13 @@ from repro.graph.possible_world import (
     world_log_probability,
     world_probability,
 )
-from repro.graph.uncertain_graph import UncertainGraph
 from repro.utils.union_find import UnionFind
+from tests.conftest import uncertain_graphs
 
 
 # ----------------------------------------------------------------------
 # Hypothesis strategies
 # ----------------------------------------------------------------------
-@st.composite
-def uncertain_graphs(draw, max_vertices: int = 8, max_edges: int = 14):
-    """Small uncertain multigraphs: loops and parallel edges included."""
-    num_vertices = draw(st.integers(min_value=1, max_value=max_vertices))
-    vertices = [f"v{i}" for i in range(num_vertices)]
-    num_edges = draw(st.integers(min_value=0, max_value=max_edges))
-    graph = UncertainGraph(name="hyp")
-    for vertex in vertices:
-        graph.add_vertex(vertex)
-    for _ in range(num_edges):
-        u = draw(st.integers(min_value=0, max_value=num_vertices - 1))
-        v = draw(st.integers(min_value=0, max_value=num_vertices - 1))
-        probability = draw(st.floats(min_value=0.05, max_value=1.0, allow_nan=False))
-        graph.add_edge(vertices[u], vertices[v], probability)
-    return graph
-
-
 def edge_subset_strategy(graph):
     ids = list(graph.edge_ids())
     return st.sets(st.sampled_from(ids)) if ids else st.just(set())
@@ -255,62 +235,6 @@ class TestBitsetWorlds:
         for component in connected_components(graph, edge_ids=ids):
             roots = {labels[compiled.vertex_index[v]] for v in component}
             assert len(roots) == 1
-
-
-# ----------------------------------------------------------------------
-# IntUnionFind
-# ----------------------------------------------------------------------
-class TestIntUnionFind:
-    @settings(max_examples=80, deadline=None)
-    @given(
-        st.integers(min_value=1, max_value=12),
-        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30),
-    )
-    def test_matches_dict_union_find(self, n, ops):
-        flat = IntUnionFind(n)
-        reference = UnionFind(range(n))
-        for a, b in ops:
-            a %= n
-            b %= n
-            assert flat.union(a, b) == reference.union(a, b)
-        assert flat.component_count == reference.component_count
-        for a in range(n):
-            assert flat.component_size(a) == reference.component_size(a)
-            for b in range(n):
-                assert flat.connected(a, b) == reference.connected(a, b)
-
-    def test_reset_restores_singletons_in_any_epoch(self):
-        uf = IntUnionFind(5)
-        uf.union(0, 1)
-        uf.union(1, 2)
-        assert uf.component_count == 3
-        uf.reset()
-        assert uf.component_count == 5
-        assert not uf.connected(0, 1)
-        # A fresh epoch is fully independent of the previous one.
-        assert uf.union(3, 4)
-        assert uf.connected(3, 4)
-        assert uf.component_size(3) == 2
-        assert uf.component_size(0) == 1
-
-    def test_same_component_and_validation(self):
-        uf = IntUnionFind(4)
-        assert uf.same_component([])
-        assert uf.same_component([2])
-        uf.union(0, 1)
-        uf.union(1, 2)
-        assert uf.same_component([0, 1, 2])
-        assert not uf.same_component([0, 3])
-        assert len(uf) == 4
-        with pytest.raises(ConfigurationError):
-            IntUnionFind(-1)
-
-    def test_reuse_across_thousands_of_resets(self):
-        uf = IntUnionFind(6)
-        for round_index in range(2_000):
-            uf.reset()
-            uf.union(round_index % 6, (round_index + 1) % 6)
-            assert uf.component_count == 5
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import random
+import sys
+import threading
 
 import pytest
 
@@ -41,7 +44,9 @@ from repro.engine.queries import (
 )
 from repro.datasets import load_dataset
 from repro.graph.uncertain_graph import UncertainGraph
+from repro.preprocess.pipeline import preprocess
 from tests.conftest import make_random_graph, random_terminals
+from tests.reference.s2bdd_completion import dict_sample_completion
 from tests.reference.s2bdd_dict import dict_construct
 
 
@@ -170,6 +175,64 @@ class TestInternedParity:
         engine = ReliabilityEngine(config.replace(s2bdd_cache=False)).prepare(karate)
         results = engine.query_many(SIX_KINDS, seed_indices=[0] * len(SIX_KINDS))
         assert results_checksum(results) == results_checksum(expected)
+
+
+# ----------------------------------------------------------------------
+# Stratum completions vs. the dict-based reference sampler
+# ----------------------------------------------------------------------
+def karate_capped_bdd():
+    return S2BDD(load_dataset("karate"), [1, 10, 20], max_width=16, rng=3)
+
+
+def tokyo_subproblem_bdd():
+    graph = load_dataset("tokyo")
+    vertices = sorted(graph.vertices(), key=repr)
+    terminals = [vertices[0], vertices[len(vertices) // 3], vertices[-1]]
+    (subproblem,) = preprocess(graph, terminals).subproblems
+    return S2BDD(subproblem.graph, subproblem.terminals, max_width=16, rng=1)
+
+
+def self_loop_bdd():
+    graph = make_random_graph(2, num_vertices=9, num_edges=16)
+    for vertex in sorted(graph.vertices())[::2]:
+        graph.add_edge(vertex, vertex, 0.6)
+    return S2BDD(graph, random_terminals(graph, 2, 3), max_width=4, rng=2)
+
+
+COMPLETION_CASES = {
+    "karate-w16": karate_capped_bdd,
+    "tokyo-subproblem": tokyo_subproblem_bdd,
+    "self-loops": self_loop_bdd,
+    "wide-frontier": wide_frontier_bdd,
+}
+
+
+class TestCompletionParity:
+    @pytest.mark.parametrize("track_world", [False, True])
+    @pytest.mark.parametrize("case", sorted(COMPLETION_CASES))
+    def test_kernel_matches_dict_reference(self, case, track_world):
+        bdd = COMPLETION_CASES[case]()
+        strata = bdd.construct(200).strata
+        assert strata
+        for index, stratum in enumerate(strata[:: max(1, len(strata) // 100)]):
+            kernel_rng = random.Random(index)
+            reference_rng = random.Random(index)
+            kernel = bdd._sample_completion(
+                stratum, kernel_rng, track_world=track_world
+            )
+            reference = dict_sample_completion(
+                bdd, stratum, reference_rng, track_world=track_world
+            )
+            assert kernel == reference
+            assert kernel_rng.getstate() == reference_rng.getstate()
+
+    def test_self_loops_remain_after_strata(self):
+        bdd = self_loop_bdd()
+        strata = bdd.construct(200).strata
+        assert all(
+            any(edge.u == edge.v for edge in bdd.plan.edges[stratum.layer :])
+            for stratum in strata
+        )
 
 
 # ----------------------------------------------------------------------
@@ -378,3 +441,51 @@ class TestEngineDiagramReuse:
         engine.reset_cache()
         assert len(engine.diagram_cache) == 0
         assert engine.stats.s2bdd_cache_evictions > 0
+
+
+class TestConcurrentQueries:
+    """Threads sharing one engine's cached diagrams answer like one thread."""
+
+    TERMINAL_SETS = [(1, 10, 20), (2, 17, 30), (5, 25, 34)]
+
+    @pytest.mark.parametrize("estimator", ["mc", "ht"])
+    def test_cached_diagrams_answer_like_a_serial_engine(self, karate, estimator):
+        config = EstimatorConfig(
+            backend="s2bdd", samples=2000, max_width=16, rng=3, estimator=estimator
+        )
+        queries = [KTerminalQuery(terminals=terminals) for terminals in self.TERMINAL_SETS]
+        serial = ReliabilityEngine(config).prepare(karate)
+        expected = [
+            results_checksum([serial.query(query, seed_index=0)]) for query in queries
+        ]
+        engine = ReliabilityEngine(config).prepare(karate)
+        for query in queries:
+            engine.query(query, seed_index=0)
+        assert engine.stats.s2bdds_built == len(queries)
+        wrong = []
+        errors = []
+
+        def worker(offset):
+            try:
+                for call in range(6):
+                    index = (offset + call) % len(queries)
+                    result = engine.query(queries[index], seed_index=0)
+                    if results_checksum([result]) != expected[index]:
+                        wrong.append(queries[index].terminals)
+            except Exception as error:  # reported by the assertion below
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(4)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert wrong == []
+        assert engine.stats.s2bdds_built == len(queries)
