@@ -7,14 +7,16 @@ draw a possible world, run connectivity over it.  The compiled kernel
 with a flat union-find and bitset worlds; the pre-kernel path ran it over
 dict-of-hashable adjacency with a dict-backed union-find.  This benchmark
 times both on the same workloads — the reference implementations embedded
-below are verbatim copies of the pre-kernel code — and proves, via parity
-checks, that the kernel's answers are **bit-identical**:
+below, and those under ``tests/reference/``, are verbatim copies of the
+pre-kernel code — and proves, via parity checks, that the kernel's answers
+are **bit-identical**:
 
 * ``pool_construction`` — building a seeded :class:`WorldPool` vs. the
   dict-based sampler (and vs. the intermediate int-list sampler the pool
   used just before the kernel, reported as ``speedup_vs_int_path``).
 * ``connectivity_sweep`` — pair/k-terminal/threshold/reachability scans
-  over one pool vs. the row-major Python loops they replaced.
+  over one pool's packed columns vs. the row-major Python loops they
+  replaced (``tests/reference/world_pool_rows.py``).
 * ``sampling_backend`` — ``SamplingEstimator`` vs. its dict-based loop.
 * ``s2bdd_completions`` — stratum-completion sampling with the flat
   parent-list kernel vs. the dict union-find sampler it replaced
@@ -72,11 +74,17 @@ from repro.experiments.workloads import (
 from repro.obs import get_registry
 from repro.utils.union_find import UnionFind
 
-# The dict-keyed reference construction and completion sampler live with
-# the tests.
+# The dict-keyed reference construction, the completion sampler and the
+# row-major pool scans live with the tests.
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from tests.reference.s2bdd_completion import dict_sample_completion  # noqa: E402
 from tests.reference.s2bdd_dict import dict_construct  # noqa: E402
+from tests.reference.world_pool_rows import (  # noqa: E402
+    row_connectivity_frequency,
+    row_pair_connectivity,
+    row_reachability,
+    row_threshold_scan,
+)
 
 #: Query kinds of the engine parity workload.
 WORKLOAD_KINDS = ("k-terminal", "threshold", "search", "top-k", "clustering", "subgraph")
@@ -153,54 +161,6 @@ def chunked_pool_labels(sampler, graph, samples: int, seed: int) -> List[Tuple[i
     for index, count in chunk_spans(samples):
         worlds.extend(sampler(graph, count, random.Random(chunk_seed(seed, index))))
     return worlds
-
-
-def row_connectivity_frequency(rows, positions) -> float:
-    """The pre-kernel row-major ``WorldPool.connectivity_frequency`` loop."""
-    first, rest = positions[0], positions[1:]
-    positive = 0
-    for labels in rows:
-        root = labels[first]
-        if all(labels[i] == root for i in rest):
-            positive += 1
-    return positive / len(rows)
-
-
-def row_threshold_scan(rows, positions, threshold: float):
-    """The pre-kernel row-major ``WorldPool.threshold_scan`` loop."""
-    total = len(rows)
-    first, rest = positions[0], positions[1:]
-    positives = 0
-    for examined, labels in enumerate(rows, start=1):
-        root = labels[first]
-        if all(labels[i] == root for i in rest):
-            positives += 1
-        if positives / total >= threshold:
-            return (True, positives, examined, examined < total)
-        if (positives + (total - examined)) / total < threshold:
-            return (False, positives, examined, examined < total)
-    return (positives / total >= threshold, positives, total, False)
-
-
-def row_reachability(rows, positions, num_vertices: int) -> List[float]:
-    """The pre-kernel row-major ``WorldPool.reachability_frequencies`` loop."""
-    first, rest = positions[0], positions[1:]
-    counts = [0] * num_vertices
-    for labels in rows:
-        root = labels[first]
-        if rest and not all(labels[i] == root for i in rest):
-            continue
-        for position, label in enumerate(labels):
-            if label == root:
-                counts[position] += 1
-    total = len(rows)
-    return [count / total for count in counts]
-
-
-def row_pair_connectivity(rows, ia: int, ib: int) -> float:
-    """The pre-kernel row-major ``WorldPool.pair_connectivity`` loop."""
-    connected = sum(1 for labels in rows if labels[ia] == labels[ib])
-    return connected / len(rows)
 
 
 def dict_sampling_estimate(graph, terminals, samples: int, rng) -> Tuple[float, int]:

@@ -556,8 +556,8 @@ class ReliabilityEngine:
     def _adopt_pool(self, graph, pool: WorldPool) -> WorldPool:
         """Cache a prebuilt pool under its ``(seed, num_worlds)`` key.
 
-        Used by the snapshot loader, which adopts column-major pools via
-        :meth:`WorldPool.from_columns` instead of resampling them.
+        Used by the snapshot loader, which adopts stored pools via
+        :meth:`WorldPool.from_label_bytes` instead of resampling them.
         Counting the build (or not) is the caller's concern — this method
         only caches.  The pool must hold exactly the seeded scheme's
         worlds for its ``(seed, num_worlds)`` pair: the cache key promises

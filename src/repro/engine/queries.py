@@ -1021,10 +1021,11 @@ class ClusteringQuery(Query):
     """Cluster the graph into reliability-based clusters.
 
     Implements the k-centre-style greedy of Ceccarello et al. (PVLDB 2017)
-    with all pairwise connection probabilities read from the shared world
-    pool: pick the highest-degree vertex as the first centre, repeatedly
-    add the least-covered vertex, then assign every vertex to its most
-    reliable centre.
+    with all connection probabilities read from the shared world pool: pick
+    the highest-degree vertex as the first centre, repeatedly add the
+    least-covered vertex, then assign every vertex to its most reliable
+    centre.  Each centre costs one reachability scan of the pool, which
+    gives every vertex's connection probability to it at once.
     """
 
     kind: ClassVar[str] = "clustering"
@@ -1046,15 +1047,19 @@ class ClusteringQuery(Query):
             )
         timer = Timer().start()
         pool = context.world_pool(self.samples)
-        connection_probability = pool.pair_connectivity
         vertices = sorted(graph.vertices(), key=repr)
+        # One pool column scan per centre: toward[c][v] is the probability
+        # that v and c are connected, i.e. pool.pair_connectivity(v, c)
+        # (1.0 at v == c).
+        toward: Dict[Vertex, Dict[Vertex, float]] = {}
 
         # Greedy k-centre seeding on the (1 - reliability) distance.
         centers: List[Vertex] = [
             max(vertices, key=lambda v: (graph.degree(v), repr(v)))
         ]
+        toward[centers[0]] = pool.reachability_frequencies((centers[0],))
         best_probability: Dict[Vertex, float] = {
-            vertex: connection_probability(vertex, centers[0]) for vertex in vertices
+            vertex: toward[centers[0]][vertex] for vertex in vertices
         }
         while len(centers) < self.num_clusters:
             next_center = min(
@@ -1062,8 +1067,9 @@ class ClusteringQuery(Query):
                 key=lambda v: (best_probability[v], -graph.degree(v), repr(v)),
             )
             centers.append(next_center)
+            column = toward[next_center] = pool.reachability_frequencies((next_center,))
             for vertex in vertices:
-                probability = connection_probability(vertex, next_center)
+                probability = column[vertex]
                 if probability > best_probability[vertex]:
                     best_probability[vertex] = probability
 
@@ -1071,11 +1077,9 @@ class ClusteringQuery(Query):
         assignment: Dict[Vertex, Vertex] = {}
         connection: Dict[Vertex, float] = {}
         for vertex in vertices:
-            best_center = max(
-                centers, key=lambda c: (connection_probability(vertex, c), repr(c))
-            )
+            best_center = max(centers, key=lambda c: (toward[c][vertex], repr(c)))
             assignment[vertex] = best_center
-            connection[vertex] = connection_probability(vertex, best_center)
+            connection[vertex] = toward[best_center][vertex]
 
         return ReliabilityClustering(
             centers=tuple(centers),

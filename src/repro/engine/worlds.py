@@ -12,9 +12,20 @@ lookup) and answers all of those questions from it:
 * :meth:`threshold_scan` — "is reliability ≥ η?" with early exit as soon as
   the remaining worlds cannot change the decision,
 * :meth:`reachability_frequencies` — per-vertex connection probabilities to
-  a source set (the reliability-search screening pass),
-* :meth:`pair_connectivity` — pairwise connection probability (the
-  clustering inner loop).
+  a source set (the reliability-search screening pass, and one column per
+  centre for clustering),
+* :meth:`pair_connectivity` — pairwise connection probability.
+
+Storage layout.  A pool keeps one Python ``int`` per vertex, its *packed
+column*: unit ``w`` of ``packed[v]`` (fixed width, little-endian) is vertex
+``v``'s component label in world ``w``.  Labels are vertex indices in
+``[0, |V|)``.  A unit is 2 bytes when every label and the all-ones sentinel
+fit (``|V| <= 65,535``) and 4 bytes otherwise, so the graph alone decides
+the width and no label can equal the all-ones unit.  Every question is then
+a handful of whole-column integer operations: ``a ^ b`` has a zero unit
+exactly where vertices ``a`` and ``b`` share a component, one carry step
+folds every non-zero unit onto its top bit, and ``int.bit_count`` counts the
+worlds in which they are apart.
 
 Pools are cheap to query but linear in ``samples × |V|`` to store, so the
 engine caches a bounded number of them per prepared graph, keyed by seed
@@ -39,13 +50,13 @@ Reproducibility contracts (two, by construction path):
 from __future__ import annotations
 
 import random
-from itertools import islice
-from operator import and_, eq
+import struct
+from itertools import starmap
 from typing import (
     TYPE_CHECKING,
     Dict,
     Hashable,
-    Iterator,
+    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -75,6 +86,12 @@ Vertex = Hashable
 #: value is part of the reproducibility contract: changing it changes what
 #: a given pool seed means, so it is a module constant, not a knob.
 WORLD_CHUNK_SIZE = 256
+
+#: Worlds per block of :meth:`WorldPool.threshold_scan`'s early-exit check.
+_SCAN_BLOCK = 256
+
+#: ``struct`` / ``memoryview`` format of one label unit, by unit width.
+_UNIT_FORMAT = {2: "H", 4: "I"}
 
 _MASK64 = (1 << 64) - 1
 #: splitmix64's golden gamma, reused to stride chunk indices apart.
@@ -112,6 +129,11 @@ def chunk_spans(
     ]
 
 
+def _unit_width(num_vertices: int) -> int:
+    """Bytes per label unit: 2 while every label and the all-ones sentinel fit."""
+    return 2 if num_vertices <= 0xFFFF else 4
+
+
 class ThresholdScan(NamedTuple):
     """Outcome of :meth:`WorldPool.threshold_scan`.
 
@@ -144,18 +166,22 @@ class ThresholdScan(NamedTuple):
 class WorldPool:
     """A reusable set of sampled possible worlds of one uncertain graph.
 
-    Each world is stored as a component labelling: vertex ``i`` and vertex
-    ``j`` are connected in world ``w`` iff their labels in ``w`` are equal.
-    That makes every connectivity question a scan of precomputed labels
-    instead of a fresh sampling run.
+    Each world is a component labelling: vertex ``i`` and vertex ``j`` are
+    connected in world ``w`` iff their labels in ``w`` are equal.  That makes
+    every connectivity question a scan of precomputed labels instead of a
+    fresh sampling run.
 
-    Since the compiled kernel (:mod:`repro.graph.compiled`) the labellings
-    are sampled by :meth:`CompiledGraph.sample_component_labels` and held
-    *column-major*: one ``array('i')`` of per-world labels per vertex, so
-    every scan is a C-speed comparison of label columns instead of a
-    Python loop over world rows.  The sampled worlds, the public API, and
-    all fixed-seed results are bit-identical to the historical row-based
-    implementation.
+    The labellings are sampled by the compiled kernel
+    (:meth:`CompiledGraph.sample_component_labels`) and stored as one
+    *packed column* per vertex: a Python ``int`` whose unit ``w``
+    (little-endian, :func:`_unit_width` bytes: 2 when ``|V| <= 65,535``,
+    else 4) is the vertex's label in world ``w``.  Labels lie in
+    ``[0, |V|)``, so no label equals the all-ones unit, which multi-source
+    reachability uses as its sentinel.  A scan is a few whole-column integer
+    operations and one ``bit_count``; :attr:`columns` and :attr:`labels`
+    decode the units back on access.  The sampled worlds, the public API,
+    and all fixed-seed results are bit-identical to the historical
+    row-based implementation.
 
     Parameters
     ----------
@@ -174,7 +200,17 @@ class WorldPool:
         built from (``None`` for pools built from a live generator).
     """
 
-    __slots__ = ("_seed", "_compiled", "_vertices", "_index", "_num_worlds", "_columns")
+    __slots__ = (
+        "_seed",
+        "_compiled",
+        "_vertices",
+        "_index",
+        "_num_worlds",
+        "_width",
+        "_packed",
+        "_rest",
+        "_high",
+    )
 
     def __init__(
         self,
@@ -187,35 +223,55 @@ class WorldPool:
         check_positive_int(samples, "samples")
         generator = resolve_rng(rng)
         compiled = compile_graph(graph)
-        self._adopt(compiled, compiled.sample_component_labels(samples, generator), seed)
+        self._adopt_rows(
+            compiled, [compiled.sample_component_labels(samples, generator)], samples, seed
+        )
+
+    def _adopt_rows(
+        self,
+        compiled: CompiledGraph,
+        batches: Iterable[Sequence[Tuple[int, ...]]],
+        num_worlds: int,
+        seed: Optional[int],
+    ) -> None:
+        """Pack batches of world rows (label tuples) into per-vertex columns."""
+        num_vertices = compiled.num_vertices
+        unit = _UNIT_FORMAT[_unit_width(num_vertices)]
+        pack_row = struct.Struct(f"<{num_vertices}{unit}").pack
+        # One struct.pack per world lays the rows out row-major; a strided
+        # view then reads each vertex's column out of them.  Each batch's
+        # tuples are dropped once packed.
+        rows = memoryview(
+            b"".join(b"".join(starmap(pack_row, batch)) for batch in batches)
+        ).cast(unit)
+        packed = [
+            int.from_bytes(rows[position::num_vertices], "little")
+            for position in range(num_vertices)
+        ]
+        self._adopt(compiled, packed, num_worlds, seed)
 
     def _adopt(
         self,
         compiled: CompiledGraph,
-        worlds: Sequence[Tuple[int, ...]],
-        seed: Optional[int],
-    ) -> None:
-        # Column-major storage: one tuple of per-world labels per vertex.
-        # Tuples beat array('i') here: their slots share the already-boxed
-        # label ints, so the C-speed scan maps never re-box on access.
-        self._adopt_columns(compiled, list(zip(*worlds)), len(worlds), seed)
-
-    def _adopt_columns(
-        self,
-        compiled: CompiledGraph,
-        columns: List[Tuple[int, ...]],
+        packed: List[int],
         num_worlds: int,
         seed: Optional[int],
     ) -> None:
+        width = _unit_width(compiled.num_vertices)
+        ones = int.from_bytes((b"\x01" + bytes(width - 1)) * num_worlds, "little")
         self._seed = seed
         self._compiled = compiled
         self._vertices = compiled.vertices
         self._index = compiled.vertex_index
         self._num_worlds = num_worlds
-        self._columns: List[Tuple[int, ...]] = columns
+        self._width = width
+        self._packed = packed
+        # Per-unit masks: every bit but the top one, and the top bit alone.
+        self._rest = ones * ((1 << (8 * width - 1)) - 1)
+        self._high = ones << (8 * width - 1)
 
     # ------------------------------------------------------------------
-    # Alternative constructors (the chunked seeded scheme)
+    # Alternative constructors (the chunked seeded scheme, stored labels)
     # ------------------------------------------------------------------
     @classmethod
     def from_seed(
@@ -234,12 +290,13 @@ class WorldPool:
         """
         check_positive_int(samples, "samples")
         compiled = compile_graph(graph)
-        worlds: List[Tuple[int, ...]] = []
-        for index, count in chunk_spans(samples, chunk_size):
-            worlds.extend(
-                compiled.sample_component_labels(count, random.Random(chunk_seed(seed, index)))
-            )
-        return cls._from_state(compiled, worlds, seed)
+        batches = (
+            compiled.sample_component_labels(count, random.Random(chunk_seed(seed, index)))
+            for index, count in chunk_spans(samples, chunk_size)
+        )
+        pool = cls.__new__(cls)
+        pool._adopt_rows(compiled, batches, samples, seed)
+        return pool
 
     @classmethod
     def from_columns(
@@ -253,61 +310,128 @@ class WorldPool:
         """Wrap precomputed *column-major* labellings in a pool.
 
         ``columns`` must hold one per-world label column per vertex of
-        ``graph`` in iteration order — the pool's native storage layout
-        (:attr:`labels` gives the row-major view back).  The columns are
-        adopted as-is, which matters on the snapshot warm-start path
-        (:mod:`repro.service.snapshot`) where they arrive straight from
-        disk and the whole point is loading faster than resampling.
+        ``graph`` in iteration order (:attr:`columns` gives them back;
+        :attr:`labels` gives the row-major view).  Every label must be a
+        vertex index in ``[0, |V|)``; anything else raises
+        :class:`ConfigurationError` naming the vertex.
         """
         check_positive_int(samples, "samples")
         compiled = compile_graph(graph)
-        adopted = [tuple(column) for column in columns]
-        if len(adopted) != compiled.num_vertices:
+        if len(columns) != compiled.num_vertices:
             raise ConfigurationError(
-                f"got label columns for {len(adopted)} vertices, expected "
+                f"got label columns for {len(columns)} vertices, expected "
                 f"{compiled.num_vertices} (the pooled graph's vertex count)"
             )
-        for position, column in enumerate(adopted):
+        pack_column = struct.Struct(f"<{samples}i").pack
+        data = bytearray()
+        for vertex, column in zip(compiled.vertices, columns):
             if len(column) != samples:
                 raise ConfigurationError(
-                    f"vertex {position} has labels for {len(column)} "
+                    f"vertex {vertex!r} has labels for {len(column)} "
                     f"worlds, expected {samples}"
                 )
-        pool = cls.__new__(cls)
-        pool._adopt_columns(compiled, adopted, samples, seed)
-        return pool
+            try:
+                data += pack_column(*column)
+            except struct.error:
+                raise ConfigurationError(
+                    f"vertex {vertex!r} has a label that is not a 32-bit "
+                    f"integer; labels are vertex indices in "
+                    f"[0, {compiled.num_vertices})"
+                ) from None
+        return cls._from_label_bytes(compiled, memoryview(data), samples, seed)
 
     @classmethod
-    def _from_state(
+    def from_label_bytes(
+        cls,
+        graph: "UncertainGraph",
+        data: bytes,
+        *,
+        samples: int,
+        seed: Optional[int] = None,
+    ) -> "WorldPool":
+        """Build a pool from column-major little-endian int32 labels.
+
+        ``data`` holds vertex 0's ``samples`` labels, then vertex 1's, and
+        so on in graph iteration order (:meth:`label_bytes`): the layout
+        the snapshot layer persists (:mod:`repro.service.snapshot`).  Units
+        are packed from strided views of ``data`` without decoding a single
+        label; the range rule of :meth:`from_columns` applies.
+        """
+        check_positive_int(samples, "samples")
+        view = memoryview(data).cast("B")
+        return cls._from_label_bytes(compile_graph(graph), view, samples, seed)
+
+    @classmethod
+    def _from_label_bytes(
         cls,
         compiled: CompiledGraph,
-        worlds: List[Tuple[int, ...]],
+        data: memoryview,
+        samples: int,
         seed: Optional[int],
     ) -> "WorldPool":
+        num_vertices = compiled.num_vertices
+        stride = 4 * samples
+        if data.nbytes != stride * num_vertices:
+            raise ConfigurationError(
+                f"got {data.nbytes} bytes of int32 labels, expected "
+                f"{stride * num_vertices} ({samples} worlds x {num_vertices} vertices)"
+            )
+        # The range check runs on whole columns of 32-bit lanes: a lane is
+        # outside [0, |V|) iff its sign bit is set or adding 2**31 - |V|
+        # sets it.  Only a lane whose sign bit is already set can carry
+        # into its neighbour, and that column fails the check anyway.
+        lanes = int.from_bytes(b"\x01\x00\x00\x00" * samples, "little")
+        sign = lanes << 31
+        bias = lanes * ((1 << 31) - num_vertices)
+        halves = data.cast("H") if _unit_width(num_vertices) == 2 else None
+        packed = []
+        for position, vertex in enumerate(compiled.vertices):
+            start = stride * position
+            labels = int.from_bytes(data[start : start + stride], "little")
+            if (labels | (labels + bias)) & sign:
+                raise ConfigurationError(
+                    f"vertex {vertex!r} has a label outside [0, {num_vertices}); "
+                    "labels are vertex indices of the pooled graph"
+                )
+            if halves is not None:
+                # 2-byte units are the low halves of the little-endian lanes.
+                low_halves = halves[start // 2 : (start + stride) // 2 : 2]
+                labels = int.from_bytes(low_halves, "little")
+            packed.append(labels)
         pool = cls.__new__(cls)
-        pool._adopt(compiled, worlds, seed)
+        pool._adopt(compiled, packed, samples, seed)
         return pool
 
     @property
     def labels(self) -> List[Tuple[int, ...]]:
         """The per-world component labellings (one tuple per world).
 
-        Rows are reassembled from the column-major storage on access.
+        Rows are decoded from the packed columns on access.
         """
-        if not self._columns:
+        if not self._packed:
             return [()] * self._num_worlds
-        return list(zip(*self._columns))
+        return list(zip(*self.columns))
 
     @property
     def columns(self) -> List[Tuple[int, ...]]:
-        """The per-vertex label columns — the pool's native storage.
+        """The per-vertex label columns, decoded from the packed storage.
 
         One tuple of ``num_worlds`` labels per vertex, in vertex iteration
-        order; the transpose of :attr:`labels`.  The snapshot layer
-        persists this layout verbatim so a warm start can re-adopt it
-        (:meth:`from_columns`) without paying the transpose.
+        order; the transpose of :attr:`labels`.
         """
-        return list(self._columns)
+        width = self._width
+        unpack = struct.Struct(f"<{self._num_worlds}{_UNIT_FORMAT[width]}").unpack
+        size = width * self._num_worlds
+        return [unpack(column.to_bytes(size, "little")) for column in self._packed]
+
+    def label_bytes(self) -> bytes:
+        """The labels as column-major little-endian int32 bytes.
+
+        The input layout of :meth:`from_label_bytes`, which the snapshot
+        layer persists.
+        """
+        pack_column = struct.Struct(f"<{self._num_worlds}i").pack
+        return b"".join(pack_column(*column) for column in self.columns)
 
     @property
     def compiled(self) -> CompiledGraph:
@@ -349,20 +473,24 @@ class WorldPool:
                 ) from None
         return positions
 
-    def _connected_per_world(self, positions: Sequence[int]) -> Iterator[bool]:
-        """Lazily yield, per world, whether all ``positions`` share a label.
+    def _apart(self, diff: int) -> int:
+        """The top bit of every non-zero unit of ``diff``, all else cleared.
 
-        The chain of ``map(eq, ...)`` / ``map(and_, ...)`` stages runs at
-        C speed over the label columns; one world's booleans are produced
-        per step, so early-exiting consumers pay only for the prefix they
-        examine.
+        ``(diff & rest) + rest`` carries into a unit's top bit iff its low
+        bits are non-zero, and never past it into the next unit; OR-ing
+        ``diff`` back in adds the units whose top bit was already set.
         """
-        columns = self._columns
-        base = columns[positions[0]]
-        connected = map(eq, base, columns[positions[1]])
-        for position in positions[2:]:
-            connected = map(and_, connected, map(eq, base, columns[position]))
-        return connected
+        rest = self._rest
+        return (((diff & rest) + rest) | diff) & self._high
+
+    def _split(self, positions: Sequence[int]) -> int:
+        """Top-bit mask of the worlds in which ``positions`` are not all connected."""
+        packed = self._packed
+        base = packed[positions[0]]
+        diff = 0
+        for position in positions[1:]:
+            diff |= base ^ packed[position]
+        return self._apart(diff)
 
     # ------------------------------------------------------------------
     # Connectivity questions
@@ -374,7 +502,8 @@ class WorldPool:
             raise TerminalError("the terminal set must not be empty")
         if len(positions) == 1:
             return 1.0
-        return sum(self._connected_per_world(positions)) / self._num_worlds
+        total = self._num_worlds
+        return (total - self._split(positions).bit_count()) / total
 
     def threshold_scan(
         self, terminals: Sequence[Vertex], threshold: float
@@ -394,26 +523,30 @@ class WorldPool:
         total = self._num_worlds
         if len(positions) == 1:
             return ThresholdScan(True, total, total, False)
-        # Consume the C-speed connectivity stream in blocks.  Both exit
-        # conditions are monotone in the number of examined worlds (the
-        # positive count only grows; the optimistic bound only shrinks), so
-        # a decision falls inside a block iff it holds at the block's end —
-        # only then is the block replayed world by world to recover the
-        # exact ``(positives, examined)`` the serial scan would report.
-        connected_stream = self._connected_per_world(positions)
+        # One flag byte per world: the top byte of its unit in the split
+        # mask, non-zero iff the terminals are apart in that world.
+        width = self._width
+        split = self._split(positions).to_bytes(total * width, "little")
+        flags = split[width - 1 :: width]
+        # Count the flags in blocks.  Both exit conditions are monotone in
+        # the number of examined worlds (the positive count only grows; the
+        # optimistic bound only shrinks), so a decision falls inside a block
+        # iff it holds at the block's end — only then is the block replayed
+        # world by world to recover the exact ``(positives, examined)`` the
+        # serial scan would report.
         positives = 0
         examined = 0
         while examined < total:
-            block = list(islice(connected_stream, 256))
-            end_positives = positives + sum(block)
+            block = flags[examined : examined + _SCAN_BLOCK]
+            end_positives = positives + block.count(0)
             end_examined = examined + len(block)
             if (
                 end_positives / total >= threshold
                 or (end_positives + (total - end_examined)) / total < threshold
             ):
-                for connected in block:
+                for apart in block:
                     examined += 1
-                    if connected:
+                    if not apart:
                         positives += 1
                     if positives / total >= threshold:
                         return ThresholdScan(True, positives, examined, examined < total)
@@ -436,22 +569,19 @@ class WorldPool:
         positions = self._indices(sources, "source")
         if not positions:
             raise TerminalError("the source set must not be empty")
-        columns = self._columns
-        base = columns[positions[0]]
+        packed = self._packed
+        reference = packed[positions[0]]
         if len(positions) > 1:
-            # Worlds whose sources are not mutually connected contribute to
-            # no vertex: mask their reference label with a sentinel no
-            # vertex label can equal (labels are vertex indices, so >= 0).
-            reference = tuple(
-                root if connected else -1
-                for root, connected in zip(base, self._connected_per_world(positions))
-            )
-        else:
-            reference = base
+            # Worlds whose sources are apart contribute to no vertex: set
+            # their reference unit to the all-ones sentinel, which no label
+            # equals (labels are vertex indices below the all-ones unit).
+            bits = 8 * self._width
+            reference |= (self._split(positions) >> (bits - 1)) * ((1 << bits) - 1)
         total = self._num_worlds
+        apart = self._apart
         return {
-            vertex: sum(map(eq, columns[position], reference)) / total
-            for position, vertex in enumerate(self._vertices)
+            vertex: (total - apart(column ^ reference).bit_count()) / total
+            for vertex, column in zip(self._vertices, packed)
         }
 
     def pair_connectivity(self, a: Vertex, b: Vertex) -> float:
@@ -460,5 +590,6 @@ class WorldPool:
             self._indices((a,), "vertex")
             return 1.0
         ia, ib = self._indices((a, b), "vertex")
-        connected = sum(map(eq, self._columns[ia], self._columns[ib]))
-        return connected / self._num_worlds
+        total = self._num_worlds
+        packed = self._packed
+        return (total - self._apart(packed[ia] ^ packed[ib]).bit_count()) / total

@@ -36,7 +36,7 @@ import logging
 import threading
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 __all__ = [
@@ -166,6 +166,11 @@ class Trace:
         self._lock = threading.Lock()
         self._dropped = 0
 
+    @property
+    def origin(self) -> float:
+        """The ``time.perf_counter()`` reading its span offsets count from."""
+        return self._start
+
     def span(self, name: str) -> _SpanContext:
         """A context manager timing one named stage into this trace."""
         return _SpanContext(self, name)
@@ -179,14 +184,20 @@ class Trace:
                 return
             self._spans.append(Span(name, wall0 - self._start, wall, cpu))
 
-    def extend(self, spans: Iterable[Span]) -> None:
-        """Stitch a batch of prebuilt spans in (coalescer hand-off)."""
+    def extend(self, spans: Iterable[Span], *, origin: float) -> None:
+        """Stitch in spans recorded under another trace (coalescer hand-off).
+
+        ``origin`` is that trace's :attr:`origin`; each span's offset is
+        rebased onto this trace's clock, so a stitched span lands inside
+        the stage that waited for it.
+        """
+        shift = origin - self._start
         with self._lock:
             for item in spans:
                 if len(self._spans) >= _MAX_SPANS:
                     self._dropped += 1
                     continue
-                self._spans.append(item)
+                self._spans.append(replace(item, start_offset=item.start_offset + shift))
 
     def spans(self) -> List[Span]:
         """An ordered snapshot (by start offset) of the recorded spans."""

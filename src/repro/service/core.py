@@ -442,13 +442,14 @@ class ReliabilityService:
         # a different catalog name for the same graph.
         response = copy.deepcopy(payload)
         # Evaluation spans measured on the batcher thread ride the outcome
-        # (never the cached payload); stitch them into this request's trace
-        # and drop them from the JSON response.
-        spans = response.pop("_spans", None)
-        if spans:
+        # with their trace's origin (never the cached payload); stitch them
+        # into this request's trace and drop them from the JSON response.
+        stitched = response.pop("_spans", None)
+        if stitched:
             trace = current_trace()
             if trace is not None:
-                trace.extend(spans)
+                origin, spans = stitched
+                trace.extend(spans, origin=origin)
         response["cached"] = tier is not None
         response["cache_tier"] = tier
         response["graph"] = graph
@@ -517,7 +518,9 @@ class ReliabilityService:
                 self._cache.put(key, payload)
             if self._store is not None:
                 self._store.put(key, payload)
-            outcomes.append({**payload, "_spans": spans} if spans else payload)
+            outcomes.append(
+                {**payload, "_spans": (batch_trace.origin, spans)} if spans else payload
+            )
         return outcomes
 
 

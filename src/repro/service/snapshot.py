@@ -30,10 +30,10 @@ checksummable.  The one deliberate exception is the world-label payload:
 a default pool is ``samples × |V|`` small ints, and parsing hundreds of
 thousands of JSON integers dominated warm-start time — defeating the
 point of a snapshot.  The labels therefore live in ``pools.bin`` as a
-flat little-endian int32 array in the pool's native *column-major*
+flat little-endian int32 array in the pools' *column-major*
 layout (all of vertex 0's per-world labels, then vertex 1's, ...; pools
-concatenated in ``pools.json`` order), which loads in one
-``array.frombytes`` and is adopted without a transpose.  Each section
+concatenated in ``pools.json`` order), from which each pool packs its
+columns with strided byte views, without decoding a label.  Each section
 file's SHA-256 — binary payload included — is recorded in its manifest
 and verified on load, so a flipped bit fails loudly
 (:class:`~repro.exceptions.SnapshotError`) instead of silently serving
@@ -58,9 +58,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 import time
-from array import array
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.engine.config import EstimatorConfig
@@ -73,7 +71,7 @@ from repro.engine.queries import (
     results_checksum,
 )
 from repro.engine.worlds import WORLD_CHUNK_SIZE, WorldPool
-from repro.exceptions import SnapshotError
+from repro.exceptions import ConfigurationError, SnapshotError
 from repro.graph.compiled import compile_graph
 from repro.graph.components import GraphDecomposition
 from repro.graph.uncertain_graph import UncertainGraph
@@ -253,31 +251,6 @@ def _check_compiled(graph: UncertainGraph, payload: Dict[str, Any], path: str) -
         )
 
 
-def _labels_to_bytes(arr: array) -> bytes:
-    """Serialize an int32 label array as little-endian bytes."""
-    if sys.byteorder == "big":  # pragma: no cover - no big-endian CI host
-        arr = array(arr.typecode, arr)
-        arr.byteswap()
-    return arr.tobytes()
-
-
-def _labels_from_bytes(blob: bytes, path: str) -> array:
-    arr = array("i")
-    if arr.itemsize != 4:  # pragma: no cover - int is 32-bit on CPython
-        arr = array("l")
-    try:
-        arr.frombytes(blob)
-    except ValueError:
-        raise SnapshotError(
-            f"snapshot section {path!r} is not a whole number of int32 "
-            "labels; the file is truncated or corrupted — rebuild the "
-            "snapshot with GraphCatalog.save_snapshot()"
-        ) from None
-    if sys.byteorder == "big":  # pragma: no cover - no big-endian CI host
-        arr.byteswap()
-    return arr
-
-
 def _pools_section(
     engine: ReliabilityEngine, graph: UncertainGraph
 ) -> Tuple[Dict[str, Any], bytes]:
@@ -292,10 +265,7 @@ def _pools_section(
     for pool in engine.cached_world_pools(graph):
         if pool.seed is None:  # pragma: no cover - engine never caches these
             continue
-        labels = array("i")
-        for column in pool.columns:
-            labels.extend(column)
-        payload += _labels_to_bytes(labels)
+        payload += pool.label_bytes()
         pools.append(
             {
                 "seed": pool.seed,
@@ -315,7 +285,14 @@ def _restore_pools(
     path: str,
     blob_path: str,
 ) -> int:
-    labels = _labels_from_bytes(blob, blob_path)
+    if len(blob) % 4:
+        raise SnapshotError(
+            f"snapshot section {blob_path!r} is not a whole number of int32 "
+            "labels; the file is truncated or corrupted — rebuild the "
+            "snapshot with GraphCatalog.save_snapshot()"
+        )
+    view = memoryview(blob)
+    total = len(blob) // 4
     offset = 0
     restored = 0
     for pool in payload["pools"]:
@@ -328,32 +305,31 @@ def _restore_pools(
             )
         samples, vertices = pool["samples"], pool["vertices"]
         end = offset + samples * vertices
-        if end > len(labels):
+        if end > total:
             raise SnapshotError(
-                f"snapshot section {blob_path!r} holds {len(labels)} labels "
+                f"snapshot section {blob_path!r} holds {total} labels "
                 f"but its metadata describes at least {end}; the sections "
                 "disagree — rebuild the snapshot with "
                 "GraphCatalog.save_snapshot()"
             )
-        # Regroup the flat column-major run into per-vertex columns: each
-        # consecutive span of `samples` ints is one vertex's column.
-        # tuple(array-slice) stays in C; this regroup is the hottest part
-        # of a warm start, the very thing the binary layout exists for.
-        columns = [
-            tuple(labels[start : start + samples])
-            for start in range(offset, end, samples)
-        ]
+        # The pool packs its columns straight from this run of int32
+        # bytes (strided views, no per-label decode): the hottest part of
+        # a warm start, the very thing the binary layout exists for.
+        try:
+            restored_pool = WorldPool.from_label_bytes(
+                graph, view[4 * offset : 4 * end], samples=samples, seed=pool["seed"]
+            )
+        except ConfigurationError as error:
+            raise SnapshotError(
+                f"snapshot section {blob_path!r} holds an invalid world pool: "
+                f"{error} — rebuild the snapshot with GraphCatalog.save_snapshot()"
+            ) from None
         offset = end
-        engine._adopt_pool(
-            graph,
-            WorldPool.from_columns(
-                graph, columns, samples=samples, seed=pool["seed"]
-            ),
-        )
+        engine._adopt_pool(graph, restored_pool)
         restored += 1
-    if offset != len(labels):
+    if offset != total:
         raise SnapshotError(
-            f"snapshot section {blob_path!r} holds {len(labels)} labels but "
+            f"snapshot section {blob_path!r} holds {total} labels but "
             f"its metadata describes {offset}; the sections disagree — "
             "rebuild the snapshot with GraphCatalog.save_snapshot()"
         )

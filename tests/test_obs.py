@@ -377,6 +377,16 @@ class TestServiceTimings:
         names = [item["name"] for item in timings["spans"]]
         assert "service.lookup" in names
         assert any(name.startswith("engine.") for name in names)
+        # Spans stitched over from the batcher thread are rebased onto this
+        # trace's clock: every engine span lies inside the wait for it.
+        (wait,) = [item for item in trace.spans() if item.name == "service.wait"]
+        engine_spans = [item for item in trace.spans() if item.name.startswith("engine.")]
+        for item in engine_spans:
+            assert wait.start_offset <= item.start_offset
+            assert (
+                item.start_offset + item.wall_seconds
+                <= wait.start_offset + wait.wall_seconds
+            )
 
     def test_timings_absent_without_trace_and_checksum_stable(self, obs_service):
         service, _ = obs_service

@@ -247,6 +247,32 @@ class TestRejection:
         with pytest.raises(SnapshotError):
             load_catalog_snapshot(str(tmp_path / "snap"))
 
+    def test_out_of_range_pool_label_is_rejected(self, catalog, karate, tmp_path):
+        # A label outside [0, |V|) with a consistent checksum: the range
+        # check (not the byte checksum) must catch it and name the vertex.
+        import hashlib
+        import struct
+
+        catalog.save_snapshot(tmp_path / "snap")
+        directory = _entry_dir(tmp_path / "snap")
+        pools = os.path.join(directory, "pools.bin")
+        samples = json.loads(open(os.path.join(directory, "pools.json")).read())[
+            "pools"
+        ][0]["samples"]
+        blob = bytearray(open(pools, "rb").read())
+        struct.pack_into("<i", blob, 4 * samples * 2, -1)  # vertex 2, world 0
+        with open(pools, "wb") as handle:
+            handle.write(blob)
+        manifest_path = os.path.join(directory, "manifest.json")
+        manifest = json.loads(open(manifest_path).read())
+        manifest["sections"]["pools.bin"] = hashlib.sha256(blob).hexdigest()
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        third = list(karate.vertices())[2]
+        with pytest.raises(SnapshotError, match="pools.bin") as excinfo:
+            load_catalog_snapshot(str(tmp_path / "snap"))
+        assert f"vertex {third!r}" in str(excinfo.value)
+
     def test_adopt_engine_rejects_config_mismatch(self, catalog, karate):
         from repro.engine import ReliabilityEngine
 

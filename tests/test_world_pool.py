@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.brute_force import brute_force_reliability
+from repro.datasets import load_dataset
 from repro.engine import EstimatorConfig, ReliabilityEngine, WorldPool
 from repro.engine.queries import (
     ClusteringQuery,
@@ -18,6 +23,13 @@ from repro.engine.worlds import chunk_seed, chunk_spans
 from repro.exceptions import ConfigurationError, TerminalError
 from repro.graph.generators import random_connected_graph
 from repro.graph.uncertain_graph import UncertainGraph
+from tests.reference.clustering_pairs import pairwise_execute
+from tests.reference.world_pool_rows import (
+    row_connectivity_frequency,
+    row_pair_connectivity,
+    row_reachability,
+    row_threshold_scan,
+)
 
 
 @pytest.fixture
@@ -315,3 +327,148 @@ class TestChunkedWorlds:
         assert sequential.labels == again.labels
         # ...and it is intentionally a different scheme than from_seed.
         assert sequential.labels != WorldPool.from_seed(graph, samples=40, seed=5).labels
+
+
+@functools.lru_cache(maxsize=None)
+def path_graph(num_vertices: int) -> UncertainGraph:
+    return UncertainGraph.from_edge_list(
+        [(i, i + 1, 0.5) for i in range(num_vertices - 1)]
+    )
+
+
+def assert_scans_match_rows(pool, rows, pairs, triples, thresholds, source_sets):
+    """Every pool answer equals the row-major reference exactly."""
+    index = pool.compiled.vertex_index
+    n = pool.num_vertices
+    for a, b in pairs:
+        assert pool.pair_connectivity(a, b) == row_pair_connectivity(rows, index[a], index[b])
+    for terminals in list(pairs) + list(triples):
+        positions = [index[v] for v in terminals]
+        frequency = row_connectivity_frequency(rows, positions)
+        assert pool.connectivity_frequency(terminals) == frequency
+        for eta in list(thresholds) + [frequency, 0.0, 1.0]:
+            assert tuple(pool.threshold_scan(terminals, eta)) == row_threshold_scan(
+                rows, positions, eta
+            )
+    for sources in source_sets:
+        expected = row_reachability(rows, [index[v] for v in sources], n)
+        assert list(pool.reachability_frequencies(sources).values()) == expected
+
+
+class TestPackedColumns:
+    """Packed-column scans answer exactly what the row-major loops answer."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        num_vertices=st.integers(min_value=250, max_value=262),
+        num_worlds=st.sampled_from([1, 255, 256, 257, 1000]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        thresholds=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=3),
+    )
+    def test_scans_equal_the_row_reference(self, num_vertices, num_worlds, seed, thresholds):
+        # Each world splits the vertices among a few component labels drawn
+        # from [0, |V|); with |V| around 256 the labels use both unit bytes.
+        rng = random.Random(seed)
+        rows = []
+        for _ in range(num_worlds):
+            components = rng.sample(range(num_vertices), rng.randint(1, 4))
+            rows.append(tuple(rng.choices(components, k=num_vertices)))
+        graph = path_graph(num_vertices)
+        pool = WorldPool.from_columns(graph, list(zip(*rows)), samples=num_worlds)
+        assert pool.labels == rows
+        vertices = list(graph.vertices())
+        assert_scans_match_rows(
+            pool,
+            rows,
+            pairs=[tuple(rng.sample(vertices, 2)) for _ in range(4)],
+            triples=[tuple(rng.sample(vertices, 3)) for _ in range(3)],
+            thresholds=thresholds,
+            source_sets=[tuple(rng.sample(vertices, size)) for size in (1, 2, 3)],
+        )
+
+    def test_wide_units_above_65535_vertices(self):
+        """A 65,536-vertex graph needs 4-byte units: label 65,535 is valid."""
+        graph = path_graph(65_536)
+        last = 65_535
+        sampled = WorldPool(graph, samples=2, rng=4)
+        assert sampled._width == 4
+        assert sampled.labels == sampled.compiled.sample_component_labels(
+            2, random.Random(4)
+        )
+        # World 0: every vertex alone (labels up to 0xFFFF); world 1: one
+        # component labelled 0xFFFF, the 2-byte all-ones unit.
+        built = WorldPool.from_columns(
+            graph, [(v, last) for v in range(65_536)], samples=2
+        )
+        for pool in (sampled, built):
+            assert_scans_match_rows(
+                pool,
+                pool.labels,
+                pairs=[(0, last), (17, 18), (last - 1, last)],
+                triples=[(0, 1, last)],
+                thresholds=[0.5],
+                source_sets=[(last,), (0, last), (5, 6, 7)],
+            )
+        assert built.reachability_frequencies((0, last))[last] == 0.5
+
+    def test_from_columns_rejects_labels_outside_the_vertex_range(self):
+        # On the path a-b-c, a -1 label collided with the multi-source
+        # sentinel: c "reached" {a, b} in the world where a and b are apart.
+        graph = UncertainGraph.from_edge_list([("a", "b", 0.5), ("b", "c", 0.5)])
+        with pytest.raises(ConfigurationError, match="vertex 'c'"):
+            WorldPool.from_columns(graph, [(0, 0), (0, 1), (-1, -1)], samples=2)
+        with pytest.raises(ConfigurationError, match="vertex 'b'"):
+            WorldPool.from_columns(graph, [(0, 0), (3, 1), (2, 2)], samples=2)
+        with pytest.raises(ConfigurationError, match="vertex 'a'"):
+            WorldPool.from_columns(graph, [(2**40, 0), (0, 1), (2, 2)], samples=2)
+        with pytest.raises(ConfigurationError, match="vertex 'b'"):
+            WorldPool.from_label_bytes(
+                graph, struct.pack("<6i", 0, 0, 0, 3, 2, 2), samples=2
+            )
+        with pytest.raises(ConfigurationError, match="expected 3"):
+            WorldPool.from_columns(graph, [(0, 0), (0, 1)], samples=2)
+        pool = WorldPool.from_columns(graph, [(0, 0), (0, 1), (2, 2)], samples=2)
+        assert pool.columns == [(0, 0), (0, 1), (2, 2)]
+        assert pool.reachability_frequencies(("a", "b"))["c"] == 0.0
+
+    def test_label_bytes_round_trip_through_columns(self, graph):
+        pool = WorldPool.from_seed(graph, samples=300, seed=9)
+        again = WorldPool.from_label_bytes(graph, pool.label_bytes(), samples=300, seed=9)
+        assert again.labels == pool.labels
+        assert again.reachability_frequencies((0, 3)) == pool.reachability_frequencies((0, 3))
+
+
+class TestClusteringParity:
+    """One reachability column per centre answers what pair scans answered."""
+
+    @pytest.mark.parametrize("source", ["karate", "tokyo", 0, 1, 2])
+    def test_clustering_matches_the_pairwise_reference(self, source, monkeypatch):
+        if isinstance(source, str):
+            graph = load_dataset(source)
+        else:
+            graph = random_connected_graph(40, 60, rng=source)
+        engine = make_engine(graph)
+        for num_clusters in range(1, 6):
+            query = ClusteringQuery(num_clusters=num_clusters)
+            product = engine.query(query, seed_index=0)
+            with monkeypatch.context() as patch:
+                patch.setattr(ClusteringQuery, "_execute", pairwise_execute)
+                reference = engine.query(query, seed_index=0)
+            assert product.centers == reference.centers
+            assert product.assignment == reference.assignment
+            assert product.connection_probability == reference.connection_probability
+
+    def test_one_reachability_scan_per_centre(self, graph, monkeypatch):
+        calls = []
+        original = WorldPool.reachability_frequencies
+
+        def counting(pool, sources):
+            calls.append(tuple(sources))
+            return original(pool, sources)
+
+        monkeypatch.setattr(WorldPool, "reachability_frequencies", counting)
+        engine = make_engine(graph)
+        for num_clusters in (1, 3, 5):
+            calls.clear()
+            result = engine.query(ClusteringQuery(num_clusters=num_clusters))
+            assert calls == [(center,) for center in result.centers]
