@@ -7,9 +7,11 @@
   (``Sampling(MC)`` and ``Sampling(HT)`` in the paper's figures): draw
   possible worlds and aggregate the connectivity indicator.
 * :mod:`repro.baselines.exact_bdd` — the exact frontier-based BDD
-  (TdZDD-style).  It is exact but its layer width grows exponentially, so
-  it raises :class:`repro.exceptions.BDDLimitExceededError` on large
-  graphs — the paper's "DNF" outcome.
+  (TdZDD-style).  It runs the S²BDD's construction loop with no deletions
+  and no priority sort.  It is exact but its layer width grows
+  exponentially, so it raises :class:`repro.exceptions.BDDLimitExceededError`
+  once its node budget is passed on large graphs — the paper's "DNF"
+  outcome.
 """
 
 from repro.baselines.brute_force import brute_force_reliability, brute_force_reliability_exact

@@ -2,27 +2,30 @@
 
 The traditional BDD-based approach (Section 3.2.1) constructs the full
 frontier-based decision diagram and reads the exact reliability off the
-1-sink.  It shares the state machinery of the S²BDD (the transition of
-:mod:`repro.core.state` is exact) but never deletes nodes, so its layer
-width — and therefore its memory footprint — can grow exponentially with
-the graph size.  That is precisely the paper's motivation for the S²BDD:
-the exact BDD "DNF"s on the large datasets.
+1-sink.  It is the S²BDD without deletions: the same frontier states, the
+same Lemma 4.3 merges and the same sinks.  So :class:`ExactBDD` runs
+:meth:`repro.core.s2bdd.S2BDD.construct` — the one construction loop in the
+library — on a diagram that can never delete a node or sort by priority,
+and reads the reliability off the 1-sink mass ``p_c``.  Its layer width —
+and therefore its memory footprint — can grow exponentially with the graph
+size.  That is precisely the paper's motivation for the S²BDD: the exact
+BDD "DNF"s on the large datasets.
 
 A configurable node budget turns the memory blow-up into a clean
 :class:`repro.exceptions.BDDLimitExceededError`, which the experiment
-harness reports as DNF.
+harness reports as DNF.  Construction checks it once per layer, after the
+layer whose running node total first exceeds the budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Hashable, Sequence
 
-from repro.core.frontier import EdgeOrdering, build_frontier_plan
-from repro.core.state import CONNECTED, DISCONNECTED, TransitionTable
-from repro.exceptions import BDDLimitExceededError
+from repro.core.frontier import EdgeOrdering
+from repro.core.s2bdd import S2BDD
 from repro.graph.uncertain_graph import UncertainGraph
-from repro.utils.kahan import KahanSum
+from repro.utils.rng import RandomLike
 from repro.utils.validation import check_positive_int
 
 __all__ = ["ExactBDD", "ExactBDDResult", "exact_bdd_reliability"]
@@ -50,10 +53,14 @@ class ExactBDD:
     terminals:
         Terminal vertices.
     max_nodes:
-        Budget on the total number of diagram nodes created before the
-        construction aborts with :class:`BDDLimitExceededError`.
+        Budget on the total number of diagram nodes (the root plus every
+        layer's width) before the construction aborts with
+        :class:`BDDLimitExceededError`.
     edge_ordering:
         Edge-ordering strategy (shared with the S²BDD).
+    rng:
+        Seed / generator for the ``random`` edge ordering; the other
+        orderings draw nothing from it.
     """
 
     def __init__(
@@ -63,78 +70,31 @@ class ExactBDD:
         *,
         max_nodes: int = 2_000_000,
         edge_ordering: EdgeOrdering = EdgeOrdering.BFS,
+        rng: RandomLike = None,
     ) -> None:
         check_positive_int(max_nodes, "max_nodes")
-        self._graph = graph
-        self._terminals = graph.validate_terminals(terminals)
-        self._k = len(self._terminals)
         self._max_nodes = max_nodes
-        self._plan = build_frontier_plan(
-            graph, strategy=EdgeOrdering(edge_ordering), terminals=self._terminals
+        # The root counts as a node, so a layer that reaches the width cap
+        # has already passed the budget: the cap never deletes a node in a
+        # run that finishes.  The priority sort would reorder the Kahan
+        # additions of such runs, so it stays off.
+        self._bdd = S2BDD(
+            graph,
+            terminals,
+            max_width=max_nodes,
+            edge_ordering=edge_ordering,
+            use_priority=False,
+            rng=rng,
         )
 
     def run(self) -> ExactBDDResult:
         """Construct the diagram and return the exact reliability."""
-        plan = self._plan
-        k = self._k
-
-        if k <= 1:
-            return ExactBDDResult(1.0, 0, 0, 0)
-        if plan.num_edges == 0:
-            return ExactBDDResult(0.0, 0, 0, 0)
-
-        transitions = TransitionTable(plan, self._terminals)
-        connected_mass = KahanSum()
-        # Layers are dicts keyed by the Lemma-4.3 merge key; values are
-        # [partition, counts, probability].
-        current: Dict[Tuple, List] = {((), ()): [(), (), 1.0]}
-        total_nodes = 1
-        peak_width = 1
-        layers_processed = 0
-
-        for layer_index in range(plan.num_edges):
-            if not current:
-                break
-            layers_processed = layer_index + 1
-            edge = plan.edges[layer_index]
-            next_nodes: Dict[Tuple, List] = {}
-            branches = ((False, 1.0 - edge.probability), (True, edge.probability))
-            apply = transitions.apply
-            for partition, counts, probability in current.values():
-                for exists, branch_probability in branches:
-                    if branch_probability <= 0.0:
-                        continue
-                    child_probability = probability * branch_probability
-                    sink, child_partition, child_counts, child_flags = apply(
-                        layer_index, partition, counts, exists
-                    )
-                    if sink == CONNECTED:
-                        connected_mass.add(child_probability)
-                        continue
-                    if sink == DISCONNECTED:
-                        continue
-                    key = (child_partition, child_flags)
-                    node = next_nodes.get(key)
-                    if node is not None:
-                        node[2] += child_probability
-                    else:
-                        next_nodes[key] = [child_partition, child_counts, child_probability]
-                        total_nodes += 1
-                        if total_nodes > self._max_nodes:
-                            raise BDDLimitExceededError(
-                                f"exact BDD exceeded the node budget of "
-                                f"{self._max_nodes} nodes at layer {layer_index + 1} "
-                                f"of {plan.num_edges} (paper outcome: DNF)"
-                            )
-            current = next_nodes
-            peak_width = max(peak_width, len(current))
-
-        reliability = min(1.0, max(0.0, connected_mass.value))
+        construction = self._bdd.construct(0, max_nodes=self._max_nodes)
         return ExactBDDResult(
-            reliability=reliability,
-            peak_width=peak_width,
-            total_nodes=total_nodes,
-            layers_processed=layers_processed,
+            reliability=construction.bounds.connected_mass,
+            peak_width=construction.peak_width,
+            total_nodes=construction.total_nodes,
+            layers_processed=construction.layers_processed,
         )
 
 

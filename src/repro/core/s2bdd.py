@@ -30,7 +30,10 @@ of ints on wider frontiers; both give the same merges.  The readable
 dict-keyed loop this replaced lives on as a test reference
 (``tests/reference/s2bdd_dict.py``), and the parity tests hold construction
 to it bit for bit: same Kahan additions, same dedup accumulation, same
-priority-sort trigger and stability.
+priority-sort trigger and stability.  It is the only frontier-diagram loop
+in the library: the exact BDD baseline
+(:class:`repro.baselines.exact_bdd.ExactBDD`) runs it with no deletions, no
+priority sort and a node budget.
 
 Construction also records a **replay** of the diagram — per layer, the
 arc targets of every (parent, branch) pair — and keeps it whenever the
@@ -54,7 +57,7 @@ from repro.core.estimators import EstimatorKind
 from repro.core.frontier import EdgeOrdering, FrontierPlan, build_frontier_plan
 from repro.core.state import TransitionTable
 from repro.core.stratified import reduced_sample_count
-from repro.exceptions import ConfigurationError
+from repro.exceptions import BDDLimitExceededError, ConfigurationError
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.utils.kahan import KahanSum
 from repro.utils.rng import RandomLike, resolve_rng
@@ -358,6 +361,7 @@ class S2BDD:
             deleted_mass=0.0,
             replay=replay,
             replay_safe=True,
+            total_nodes=construction.total_nodes,
         )
 
     # ------------------------------------------------------------------
@@ -376,8 +380,12 @@ class S2BDD:
         # probability strictly inside (0, 1)).
         replay: Optional[List[Tuple[List[int], List[int], int]]] = None
         replay_safe: bool = False
+        # Live nodes created: the root plus every processed layer's width.
+        total_nodes: int = 0
 
-    def construct(self, samples: int = 0) -> "S2BDD._Construction":
+    def construct(
+        self, samples: int = 0, *, max_nodes: Optional[int] = None
+    ) -> "S2BDD._Construction":
         """Build the diagram layer by layer and return the outcome.
 
         ``samples`` (the caller's budget ``s``) enables the early
@@ -385,6 +393,14 @@ class S2BDD:
         (bounds-only runs).  The returned object can be passed back to
         :meth:`run` any number of times, which is how one constructed
         diagram amortises over a whole query workload.
+
+        ``max_nodes`` is the exact BDD baseline's node budget
+        (:class:`repro.baselines.exact_bdd.ExactBDD`): construction counts
+        the root plus each layer's live width and raises
+        :class:`~repro.exceptions.BDDLimitExceededError` after the first
+        layer whose running total exceeds the budget (the paper's DNF).
+        The total only grows, so this per-layer check fails at the same
+        layer as a check per created node.  ``None`` sets no budget.
 
         Layer states live in parallel lists indexed by a dense state id:
         ``parts[sid]`` / ``cnts[sid]`` are the partition and component
@@ -441,6 +457,7 @@ class S2BDD:
         masses: List[float] = [1.0]
         keys: List[Hashable] = [make_key([])]
         peak_width = 1
+        total_nodes = 1
         layers_processed = 0
 
         replay: List[Tuple[List[int], List[int], int]] = []
@@ -723,6 +740,12 @@ class S2BDD:
             keys = next_keys
             if next_width > peak_width:
                 peak_width = next_width
+            total_nodes += next_width
+            if max_nodes is not None and total_nodes > max_nodes:
+                raise BDDLimitExceededError(
+                    f"exact BDD exceeded the node budget of {max_nodes} nodes "
+                    f"at layer {next_layer} of {plan.num_edges} (paper outcome: DNF)"
+                )
             replay.append((false_arcs, true_arcs, next_width))
 
             # Early termination (Algorithm 2, lines 26–32).  Two triggers:
@@ -778,6 +801,7 @@ class S2BDD:
             deleted_mass=deleted_mass.value,
             replay=replay if replay_safe else None,
             replay_safe=replay_safe,
+            total_nodes=total_nodes,
         )
 
     # ------------------------------------------------------------------

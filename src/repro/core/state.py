@@ -1,4 +1,4 @@
-"""Node states of the (S²)BDD and the exact layer transition.
+"""Node states of the (S²)BDD and the per-layer transition maps.
 
 A node of the diagram at layer ``l`` represents an *intermediate graph*:
 edges ``e_1 .. e_l`` have been fixed to existent / non-existent and the rest
@@ -32,33 +32,25 @@ endpoints, the entering vertices and the surviving frontier, so that the
 per-node work in the innermost construction loop is pure list
 manipulation.  A layer's context is built the first time a construction
 reaches the layer and memoised; layers past an early stop are never built.
-:meth:`TransitionTable.apply` (the exact BDD baseline's transition) applies
-one edge state, detects 1-sink / 0-sink outcomes early (a strict superset
-of Lemmas 4.1 and 4.2), retires vertices that leave the frontier, and
-returns the canonical child state; the S²BDD inlines the same transition
-over :meth:`TransitionTable.layer`.
+The transition itself — apply one edge state, detect 1-sink / 0-sink
+outcomes early (a strict superset of Lemmas 4.1 and 4.2), retire vertices
+that leave the frontier, and canonicalise the child state — is inlined over
+:meth:`TransitionTable.layer` by :meth:`repro.core.s2bdd.S2BDD.construct`,
+the one construction loop the S²BDD and the exact BDD baseline share.  The
+step-by-step form of that transition is a test reference
+(``tests/reference/exact_bdd_loop.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Sequence, Set, Tuple
 
 from repro.core.frontier import FrontierPlan
 
-__all__ = [
-    "CONNECTED",
-    "DISCONNECTED",
-    "LIVE",
-    "TransitionTable",
-]
+__all__ = ["TransitionTable"]
 
 Vertex = Hashable
-
-#: Sink codes returned by :meth:`TransitionTable.apply`.
-LIVE = 0
-CONNECTED = 1
-DISCONNECTED = 2
 
 
 @dataclass(frozen=True)
@@ -74,13 +66,10 @@ class _LayerContext:
     entering_terminal: Tuple[int, ...]
     # For each vertex of the next frontier, its index in the work array.
     after_positions: Tuple[int, ...]
-    # Do the endpoints retire from the frontier after this layer?
-    u_leaves: bool
-    v_leaves: bool
     # Number of uncertain edges per *current*-frontier position (for h(n)).
     frontier_degrees: Tuple[int, ...]
     # Work-array positions whose component must pass the 0-sink check
-    # (retiring endpoints, in the (u, v) probe order of ``apply``).
+    # (the endpoints that retire after this layer, u before v).
     leaving_positions: Tuple[int, ...]
     # True when the layer neither admits nor retires vertices and keeps the
     # frontier order: the no-merge transition is then the identity map, so
@@ -89,7 +78,7 @@ class _LayerContext:
 
 
 class TransitionTable:
-    """Exact per-layer transition for a fixed plan and terminal set.
+    """Per-layer transition index maps for a fixed plan and terminal set.
 
     Parameters
     ----------
@@ -134,15 +123,8 @@ class TransitionTable:
             degrees_before.get(vertex, 1) for vertex in frontier_before
         )
 
-        u_leaves = edge.u in leaving
-        v_leaves = edge.v in leaving
         leaving_positions = tuple(
-            position
-            for position, leaves in (
-                (position_of[edge.u], u_leaves),
-                (position_of[edge.v], v_leaves),
-            )
-            if leaves
+            position_of[vertex] for vertex in (edge.u, edge.v) if vertex in leaving
         )
         identity = (
             not entering
@@ -156,8 +138,6 @@ class TransitionTable:
             is_loop=edge.u == edge.v,
             entering_terminal=entering_terminal,
             after_positions=after_positions,
-            u_leaves=u_leaves,
-            v_leaves=v_leaves,
             frontier_degrees=frontier_degrees,
             leaving_positions=leaving_positions,
             identity=identity,
@@ -166,107 +146,13 @@ class TransitionTable:
     def layer(self, layer_index: int) -> _LayerContext:
         """The index maps for one layer, built on first use and memoised.
 
-        The S²BDD construction drives its inlined transition straight off
-        these maps instead of calling :meth:`apply` per node.
+        :meth:`repro.core.s2bdd.S2BDD.construct` drives its inlined
+        transition straight off these maps.
         """
         context = self._layers.get(layer_index)
         if context is None:
             context = self._layers[layer_index] = self._build_layer(layer_index)
         return context
-
-    # ------------------------------------------------------------------
-    # Transition
-    # ------------------------------------------------------------------
-    def apply(
-        self,
-        layer_index: int,
-        partition: Tuple[int, ...],
-        counts: Tuple[int, ...],
-        edge_exists: bool,
-    ) -> Tuple[
-        int,
-        Optional[Tuple[int, ...]],
-        Optional[Tuple[int, ...]],
-        Optional[Tuple[int, ...]],
-    ]:
-        """Apply one edge state.
-
-        Returns ``(sink_code, child_partition, child_counts, child_flags)``
-        where ``child_flags`` is the per-component "holds a terminal"
-        pattern used as part of the Lemma-4.3 merge key.  The child fields
-        are ``None`` unless ``sink_code == LIVE``.
-
-        This is the innermost loop of the exact BDD construction, so it
-        works on plain lists indexed by precomputed integer positions.
-        """
-        context = self._layers.get(layer_index)
-        if context is None:
-            context = self.layer(layer_index)
-        k = self.k
-
-        labels = list(partition)
-        component_counts = list(counts)
-        for flag in context.entering_terminal:
-            labels.append(len(component_counts))
-            component_counts.append(flag)
-
-        if edge_exists and not context.is_loop:
-            label_u = labels[context.u_position]
-            label_v = labels[context.v_position]
-            if label_u != label_v:
-                for position, label in enumerate(labels):
-                    if label == label_v:
-                        labels[position] = label_u
-                component_counts[label_u] += component_counts[label_v]
-                component_counts[label_v] = 0
-                # 1-sink: the merged component holds every terminal.  No
-                # other component count changed, so this is the only check
-                # needed (entering singletons carry at most one terminal and
-                # k >= 2 in every caller).
-                if component_counts[label_u] >= k:
-                    return CONNECTED, None, None, None
-
-        after_positions = context.after_positions
-
-        # 0-sink: only a component containing a retiring endpoint of the
-        # processed edge can lose its last frontier vertex at this layer.
-        if context.u_leaves or context.v_leaves:
-            for position, leaves in (
-                (context.u_position, context.u_leaves),
-                (context.v_position, context.v_leaves),
-            ):
-                if not leaves:
-                    continue
-                label = labels[position]
-                if component_counts[label] <= 0:
-                    continue
-                alive = False
-                for after_position in after_positions:
-                    if labels[after_position] == label:
-                        alive = True
-                        break
-                if not alive:
-                    return DISCONNECTED, None, None, None
-
-        # Canonicalise over the next frontier.
-        relabel = [-1] * len(component_counts)
-        child_partition: List[int] = []
-        child_counts: List[int] = []
-        child_flags: List[int] = []
-        next_label = 0
-        for position in after_positions:
-            label = labels[position]
-            canonical = relabel[label]
-            if canonical < 0:
-                canonical = next_label
-                relabel[label] = canonical
-                next_label += 1
-                count = component_counts[label]
-                child_counts.append(count)
-                child_flags.append(1 if count else 0)
-            child_partition.append(canonical)
-
-        return LIVE, tuple(child_partition), tuple(child_counts), tuple(child_flags)
 
     # ------------------------------------------------------------------
     # Deletion heuristic (Equation 10)

@@ -297,6 +297,7 @@ class ExactBDDBackend(_BackendBase):
                 terminals,
                 max_nodes=config.exact_bdd_node_limit,
                 edge_ordering=config.edge_ordering,
+                rng=self._resolve_rng(rng),
             ).run()
         return _exact_result(result.reliability, timer.elapsed, config)
 

@@ -2,14 +2,15 @@
 
 :meth:`repro.core.s2bdd.S2BDD.construct` keys each layer by flat interned
 state ids; this module keeps the readable loop it replaced, which keys each
-layer by nested ``(partition, flags)`` tuples and calls
-:meth:`~repro.core.state.TransitionTable.apply` per branch.  It is a test
-reference only: the parity tests and ``benchmarks/bench_kernel.py`` require
-the product construction to match it bit for bit (same branch order, same
-Kahan additions, same priority-sort trigger, same deletions).
+layer by nested ``(partition, flags)`` tuples and steps every branch through
+the reference transition :func:`tests.reference.exact_bdd_loop.apply`.  It is
+a test reference only: the parity tests and ``benchmarks/bench_kernel.py``
+require the product construction to match it bit for bit (same branch
+order, same Kahan additions, same priority-sort trigger, same deletions).
 
-``dict_construct(bdd, samples)`` has the signature of ``S2BDD.construct``,
-so it can be called directly or patched in its place.
+``dict_construct(bdd, samples)`` has the signature of ``S2BDD.construct``
+without the exact baseline's ``max_nodes`` budget, so it can be called
+directly or patched in its place on every S²BDD path.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Dict, List, Tuple
 
 from repro.core.bounds import ReliabilityBounds
 from repro.core.s2bdd import S2BDD, Stratum
-from repro.core.state import CONNECTED, DISCONNECTED
 from repro.utils.kahan import KahanSum
+from tests.reference.exact_bdd_loop import CONNECTED, DISCONNECTED, apply
 
 __all__ = ["dict_construct"]
 
@@ -78,7 +79,7 @@ def dict_construct(bdd: S2BDD, samples: int = 0) -> "S2BDD._Construction":
             )
 
         next_nodes: Dict[Tuple, List] = {}
-        apply = transitions.apply
+        step = apply
         for partition, counts, probability in parents:
             for exists, branch_probability in (
                 (False, probability_missing),
@@ -87,8 +88,8 @@ def dict_construct(bdd: S2BDD, samples: int = 0) -> "S2BDD._Construction":
                 if branch_probability <= 0.0:
                     continue
                 child_probability = probability * branch_probability
-                sink, child_partition, child_counts, child_flags = apply(
-                    layer_index, partition, counts, exists
+                sink, child_partition, child_counts, child_flags = step(
+                    transitions, layer_index, partition, counts, exists
                 )
                 if sink == CONNECTED:
                     connected_mass.add(child_probability)

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.brute_force import (
     brute_force_reliability,
@@ -13,10 +18,31 @@ from repro.baselines.brute_force import (
 from repro.baselines.exact_bdd import ExactBDD, exact_bdd_reliability
 from repro.baselines.sampling import SamplingEstimator
 from repro.core.estimators import EstimatorKind
+from repro.core.frontier import EdgeOrdering
+from repro.datasets import load_dataset
 from repro.exceptions import BDDLimitExceededError, ConfigurationError
 from repro.graph.generators import cycle_graph, path_graph, random_connected_graph
 from repro.graph.uncertain_graph import UncertainGraph
-from tests.conftest import make_random_graph, random_terminals
+from tests.conftest import make_random_graph, random_terminals, uncertain_graphs
+from tests.reference.exact_bdd_loop import exact_bdd_loop
+
+#: The benchmark's banked karate answers, written by the exact baseline.
+KARATE_BANK = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "ground_truth" / "karate_exact.json"
+)
+
+#: Every ordering whose plan draws nothing from a random stream.
+SEEDLESS_ORDERINGS = [
+    ordering for ordering in EdgeOrdering if ordering is not EdgeOrdering.RANDOM
+]
+
+
+def _outcome(run):
+    """A run's result fields, or the message of its node-budget error."""
+    try:
+        return dataclasses.astuple(run())
+    except BDDLimitExceededError as error:
+        return str(error)
 
 
 class TestBruteForce:
@@ -116,3 +142,46 @@ class TestExactBDD:
         # 40 edges is far beyond 2^40 enumeration but easy for the BDD.
         graph = path_graph(41, 0.9)
         assert exact_bdd_reliability(graph, [0, 40]) == pytest.approx(0.9 ** 40)
+
+    @pytest.mark.parametrize("ordering", SEEDLESS_ORDERINGS)
+    @settings(max_examples=150, deadline=None)
+    @given(graph=uncertain_graphs(), data=st.data())
+    def test_matches_reference_loop(self, ordering, graph, data):
+        # The per-layer budget check gives the per-node loop's verdict and
+        # message, and runs that finish agree field for field.
+        vertices = sorted(graph.vertices())
+        terminals = data.draw(
+            st.lists(
+                st.sampled_from(vertices),
+                min_size=1,
+                max_size=min(4, len(vertices)),
+                unique=True,
+            )
+        )
+        total = exact_bdd_loop(
+            graph, terminals, max_nodes=10**9, edge_ordering=ordering
+        ).total_nodes
+        for budget in sorted({1, 2, 5, total - 1, total, 10**9}):
+            if budget < 1:
+                continue
+            product = _outcome(
+                lambda: ExactBDD(
+                    graph, terminals, max_nodes=budget, edge_ordering=ordering
+                ).run()
+            )
+            reference = _outcome(
+                lambda: exact_bdd_loop(
+                    graph, terminals, max_nodes=budget, edge_ordering=ordering
+                )
+            )
+            assert product == reference
+
+    @pytest.mark.parametrize("index", [8, 32, 52, 73, 87, 108])
+    def test_matches_banked_karate_answers(self, index):
+        # Two quick sets per terminal-set size of the committed bank.
+        bank = json.loads(KARATE_BANK.read_text(encoding="utf-8"))
+        entry = bank["sets"][index]
+        result = ExactBDD(
+            load_dataset("karate"), entry["terminals"], max_nodes=bank["node_limit"]
+        ).run()
+        assert result.reliability == entry["exact"]

@@ -12,6 +12,7 @@ from repro.core.frontier import EdgeOrdering
 from repro.core.reliability import ReliabilityResult, exact_reliability
 from repro.engine import (
     EstimatorConfig,
+    KTerminalQuery,
     ReliabilityBackend,
     ReliabilityEngine,
     UnknownBackendError,
@@ -295,6 +296,23 @@ class TestBackendsByName:
         assert engine.estimate(terminals).reliability == pytest.approx(
             expected, abs=1e-9
         )
+
+    def test_exact_bdd_random_ordering_follows_the_query_seed(self):
+        # The random edge ordering draws its plan from the query's rng, so
+        # every engine sums the 1-sink mass in the same order.  A plan drawn
+        # from an OS-seeded stream gives 3-5 distinct floats over 20 engines.
+        graph = random_connected_graph(10, 18, rng=3)
+        config = EstimatorConfig(
+            backend="exact-bdd", edge_ordering="random", rng=7, use_extension=False
+        )
+        answers = {
+            ReliabilityEngine(config)
+            .prepare(graph)
+            .query(KTerminalQuery(terminals=(0, 4, 8)), rng=7)
+            .reliability
+            for _ in range(24)
+        }
+        assert len(answers) == 1
 
 
 class TestReliabilityResultSerialization:

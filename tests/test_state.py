@@ -2,8 +2,10 @@
 
 The transition's correctness is also covered end to end (S²BDD vs brute
 force) in ``test_integration.py``; the tests here check the individual
-mechanics: entering/leaving vertices, sink detection, canonicalisation and
-the deletion heuristic.
+mechanics of the step-by-step reference transition
+(``tests/reference/exact_bdd_loop.py``) over the library's per-layer index
+maps: entering/leaving vertices, sink detection, canonicalisation and the
+deletion heuristic.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.frontier import EdgeOrdering, build_frontier_plan
-from repro.core.state import CONNECTED, DISCONNECTED, LIVE, TransitionTable
+from repro.core.state import TransitionTable
 from repro.graph.generators import path_graph
 from repro.graph.uncertain_graph import UncertainGraph
+from tests.reference.exact_bdd_loop import CONNECTED, DISCONNECTED, LIVE, apply
 
 
 def _walk(table: TransitionTable, decisions) -> tuple:
@@ -21,7 +24,7 @@ def _walk(table: TransitionTable, decisions) -> tuple:
     partition, counts = (), ()
     sink = LIVE
     for layer, exists in enumerate(decisions):
-        sink, partition, counts, _ = table.apply(layer, partition, counts, exists)
+        sink, partition, counts, _ = apply(table, layer, partition, counts, exists)
         if sink != LIVE:
             return sink, None, None
     return sink, partition, counts
@@ -42,7 +45,7 @@ class TestPathTransitions:
 
     def test_first_edge_missing_disconnects(self, table):
         # Terminal 0 loses its only edge: disconnection is detected at once.
-        sink = table.apply(0, (), (), False)[0]
+        sink = apply(table, 0, (), (), False)[0]
         assert sink == DISCONNECTED
 
     def test_middle_edge_missing_disconnects(self, table):
@@ -54,7 +57,7 @@ class TestPathTransitions:
         assert sink == DISCONNECTED
 
     def test_live_intermediate_state(self, table):
-        sink, partition, counts, _ = table.apply(0, (), (), True)
+        sink, partition, counts, _ = apply(table, 0, (), (), True)
         assert sink == LIVE
         # Frontier after edge (0,1) is {1}; its component carries terminal 0.
         assert partition == (0,)
@@ -71,26 +74,26 @@ class TestTriangleTransitions:
         table, plan = table_and_plan
         # Edges in input order: (a,b), (b,c), (a,c).  Take a-b absent,
         # b-c absent, a-c present: terminals connect through the last edge.
-        sink, partition, counts, _ = table.apply(0, (), (), False)
+        sink, partition, counts, _ = apply(table, 0, (), (), False)
         assert sink == LIVE
-        sink, partition, counts, _ = table.apply(1, partition, counts, False)
+        sink, partition, counts, _ = apply(table, 1, partition, counts, False)
         assert sink == LIVE
-        sink, *_ = table.apply(2, partition, counts, True)
+        sink, *_ = apply(table, 2, partition, counts, True)
         assert sink == CONNECTED
 
     def test_indirect_path_connects(self, table_and_plan):
         table, _ = table_and_plan
-        sink, partition, counts, _ = table.apply(0, (), (), True)
-        sink, partition, counts, _ = table.apply(1, partition, counts, True)
+        sink, partition, counts, _ = apply(table, 0, (), (), True)
+        sink, partition, counts, _ = apply(table, 1, partition, counts, True)
         assert sink == CONNECTED
 
     def test_all_missing_disconnects(self, table_and_plan):
         table, _ = table_and_plan
-        sink, partition, counts, _ = table.apply(0, (), (), False)
-        sink, partition, counts, _ = table.apply(1, partition, counts, False)
+        sink, partition, counts, _ = apply(table, 0, (), (), False)
+        sink, partition, counts, _ = apply(table, 1, partition, counts, False)
         assert sink == LIVE or sink == DISCONNECTED
         if sink == LIVE:
-            sink, *_ = table.apply(2, partition, counts, False)
+            sink, *_ = apply(table, 2, partition, counts, False)
         assert sink == DISCONNECTED
 
 
@@ -101,16 +104,16 @@ class TestSelfLoopsAndMerging:
         graph.add_edge(0, 1, 0.9)
         plan = build_frontier_plan(graph, strategy=EdgeOrdering.INPUT)
         table = TransitionTable(plan, [0, 1])
-        sink, partition, counts, _ = table.apply(0, (), (), True)
+        sink, partition, counts, _ = apply(table, 0, (), (), True)
         assert sink == LIVE
-        sink, *_ = table.apply(1, partition, counts, True)
+        sink, *_ = apply(table, 1, partition, counts, True)
         assert sink == CONNECTED
 
     def test_canonical_labels_start_at_zero(self):
         graph = path_graph(5, 0.9)
         plan = build_frontier_plan(graph, strategy=EdgeOrdering.INPUT)
         table = TransitionTable(plan, [0, 4])
-        sink, partition, counts, _ = table.apply(0, (), (), True)
+        sink, partition, counts, _ = apply(table, 0, (), (), True)
         assert partition[0] == 0
         assert max(partition) < len(counts)
 
