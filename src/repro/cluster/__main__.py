@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import argparse
 import os
-import signal
 import sys
-import threading
 from typing import List, Optional
 
 from repro.cluster.router import Router
@@ -37,6 +35,7 @@ from repro.engine.registry import available_backends
 from repro.exceptions import ReproError
 from repro.obs.trace import disable as disable_tracing
 from repro.service.catalog import DatasetSource, GraphCatalog
+from repro.service.frontend import wait_for_stop_signal
 
 __all__ = ["main"]
 
@@ -238,18 +237,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         where = f"at http://{endpoint}" if endpoint else "down"
         print(f"  {slot['member']} {where}", flush=True)
 
-    stop = threading.Event()
-
-    def _signal_handler(signum, frame) -> None:  # noqa: ARG001
-        stop.set()
-
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            signal.signal(signum, _signal_handler)
-        except ValueError:  # not the main thread (embedded use)
-            break
     try:
-        stop.wait()
+        wait_for_stop_signal()
     finally:
         router.close()
         supervisor.stop()

@@ -1,9 +1,11 @@
 """The cluster front-end: one address, consistent routing, failover.
 
 The :class:`Router` speaks exactly the service's JSON/HTTP wire format —
-a :class:`~repro.service.client.ServiceClient` pointed at the router
-cannot tell it from a single replica — and forwards each query to the
-replica that owns its routing key on the consistent-hash ring:
+it runs on the same :class:`~repro.service.frontend.HttpFrontEnd` as
+every replica, so a :class:`~repro.service.client.ServiceClient` pointed
+at the router cannot tell it from a single replica — and forwards each
+query to the replica that owns its routing key on the consistent-hash
+ring:
 
     ``graph_fingerprint | query.canonical_key()``
 
@@ -52,36 +54,17 @@ from repro.exceptions import ClusterError
 from repro.cluster.ring import HashRing
 from repro.cluster.supervisor import ReplicaSupervisor
 from repro.obs import bridge, get_registry
-from repro.obs.metrics import (
-    MetricsRegistry,
-    PROMETHEUS_CONTENT_TYPE,
-    parse_prometheus_text,
-)
+from repro.obs.metrics import MetricsRegistry, parse_prometheus_text
 from repro.obs.trace import TRACE_HEADER, new_trace, parse_header
+from repro.service.frontend import (
+    IO_TIMEOUT,
+    HttpFrontEnd,
+    Response,
+    json_object,
+    read_head,
+)
 
 __all__ = ["Router", "RouterStats"]
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    500: "Internal Server Error",
-    502: "Bad Gateway",
-    503: "Service Unavailable",
-}
-
-#: Per-connection read timeout (seconds) on the client side of the router.
-_IO_TIMEOUT = 30.0
-
-#: Largest request body the router will buffer (mirrors the service).
-MAX_BODY_BYTES = 8 * 1024 * 1024
-
-#: Paths worth their own latency series; everything else collapses into
-#: one ``path="other"`` label so probes cannot explode the cardinality.
-_METERED_PATHS = frozenset(
-    {"/healthz", "/graphs", "/stats", "/metrics", "/query", "/query_batch", "/update"}
-)
 
 
 @dataclass
@@ -99,7 +82,7 @@ class RouterStats:
         return asdict(self)
 
 
-class Router:
+class Router(HttpFrontEnd):
     """Route service requests onto a supervised replica pool.
 
     Parameters
@@ -123,6 +106,9 @@ class Router:
         path).  Defaults to the process-global registry.
     """
 
+    _not_started_error = ClusterError
+    _thread_name = "repro-cluster-router"
+
     def __init__(
         self,
         supervisor: ReplicaSupervisor,
@@ -138,103 +124,50 @@ class Router:
                 f"route_by must be 'query' or 'graph', got {route_by!r}"
             )
         self._supervisor = supervisor
-        self._host = host
-        self._requested_port = port
         self._route_by = route_by
         self._forward_timeout = forward_timeout
         self._registry = registry if registry is not None else get_registry()
-        self._request_seconds = self._registry.histogram(
-            "repro_router_request_seconds",
-            "Router front-end latency by path.",
-            labels=("path",),
-        )
         self._ring = HashRing(supervisor.keys())
         self._stats = RouterStats()
         self._stats_lock = threading.Lock()
         self._fingerprints: Dict[str, str] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._port: Optional[int] = None
-
-    # ------------------------------------------------------------------
-    # Lifecycle (mirrors ServiceServer)
-    # ------------------------------------------------------------------
-    @property
-    def host(self) -> str:
-        """The bind host."""
-        return self._host
-
-    @property
-    def port(self) -> int:
-        """The bound port (available once the router has started)."""
-        if self._port is None:
-            raise ClusterError("the router has not been started yet")
-        return self._port
-
-    @property
-    def address(self) -> str:
-        """``host:port`` of the running router."""
-        return f"{self._host}:{self.port}"
+        super().__init__(
+            {
+                "/healthz": ("GET", self._aggregate_healthz),
+                "/graphs": ("GET", self._forward_graphs),
+                "/stats": ("GET", self._aggregate_stats),
+                "/metrics": ("GET", self._aggregate_metrics),
+                "/query": ("POST", self._forward_query),
+                "/query_batch": ("POST", self._forward_batch),
+                "/update": ("POST", self._forward_update),
+            },
+            host=host,
+            port=port,
+            request_seconds=self._registry.histogram(
+                "repro_router_request_seconds",
+                "Router front-end latency by path.",
+                labels=("path",),
+            ),
+        )
 
     def stats(self) -> RouterStats:
         """An independent snapshot of the router's forwarding counters."""
         with self._stats_lock:
             return RouterStats(**asdict(self._stats))
 
-    async def start(self) -> "Router":
-        """Bind and start accepting connections on the running loop."""
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._requested_port
-        )
-        self._port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    def start_background(self) -> "Router":
-        """Run the router on a daemon thread; returns once it is bound."""
-        ready = threading.Event()
-        startup_error: Dict[str, BaseException] = {}
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            try:
-                loop.run_until_complete(self.start())
-            except BaseException as error:
-                startup_error["error"] = error
-                ready.set()
-                loop.close()
-                return
-            ready.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(loop.shutdown_asyncgens())
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=_run, name="repro-cluster-router", daemon=True
-        )
-        self._thread.start()
-        ready.wait()
-        if "error" in startup_error:
-            raise startup_error["error"]
-        return self
-
-    def close(self) -> None:
-        """Stop accepting and stop the loop thread (replicas keep running)."""
-        loop, server = self._loop, self._server
-        if loop is not None and server is not None and loop.is_running():
-
-            def _shutdown() -> None:
-                server.close()
-                loop.stop()
-
-            loop.call_soon_threadsafe(_shutdown)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
+    async def _dispatch(
+        self, method: str, path: str, body: bytes, headers: Dict[str, str]
+    ) -> Response:
+        # Every parsed request counts, 404s and 405s included; every
+        # exception escaping a handler counts as an error.
+        with self._stats_lock:
+            self._stats.requests += 1
+        try:
+            return await super()._dispatch(method, path, body, headers)
+        except Exception:
+            with self._stats_lock:
+                self._stats.errors += 1
+            raise
 
     # ------------------------------------------------------------------
     # Placement
@@ -276,134 +209,11 @@ class Router:
                 return
 
     # ------------------------------------------------------------------
-    # Connection handling (single-request connections, like the service)
+    # Routes
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        status, payload = 500, {"error": "internal error"}
+    async def _forward_query(self, body: bytes, headers: Dict[str, str]) -> Response:
         try:
-            parsed = await asyncio.wait_for(self._read_request(reader), _IO_TIMEOUT)
-        except asyncio.TimeoutError:
-            parsed, status, payload = None, 400, {"error": "request read timed out"}
-        except Exception as error:
-            parsed, status, payload = None, 400, {
-                "error": f"malformed request: {error}"
-            }
-        else:
-            if parsed is None:
-                return
-        if parsed is not None:
-            method, path, body, request_headers = parsed
-            with self._stats_lock:
-                self._stats.requests += 1
-            started = time.perf_counter()
-            try:
-                status, payload = await self._route(
-                    method, path, body, request_headers
-                )
-            except Exception as error:
-                with self._stats_lock:
-                    self._stats.errors += 1
-                status, payload = 500, {
-                    "error": str(error),
-                    "error_type": type(error).__name__,
-                }
-            metered = path.split("?", 1)[0]
-            if metered not in _METERED_PATHS:
-                metered = "other"
-            self._request_seconds.labels(path=metered).observe(
-                time.perf_counter() - started
-            )
-        try:
-            if isinstance(payload, str):
-                blob = payload.encode("utf-8")
-                content_type = PROMETHEUS_CONTENT_TYPE
-            else:
-                blob = json.dumps(payload, default=repr).encode("utf-8")
-                content_type = "application/json"
-            headers = [
-                f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-                f"Content-Type: {content_type}",
-                f"Content-Length: {len(blob)}",
-                "Connection: close",
-            ]
-            writer.write(("\r\n".join(headers) + "\r\n\r\n").encode("ascii") + blob)
-            await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-
-    @staticmethod
-    async def _read_request(
-        reader: asyncio.StreamReader,
-    ) -> Optional[Tuple[str, str, bytes, Dict[str, str]]]:
-        request_line = await reader.readline()
-        if not request_line.strip():
-            return None
-        parts = request_line.decode("ascii", "replace").split()
-        if len(parts) < 2:
-            raise ValueError(f"bad request line {request_line!r}")
-        method, path = parts[0].upper(), parts[1]
-        content_length = 0
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("ascii", "replace").partition(":")
-            headers[name.strip().lower()] = value.strip()
-            if name.strip().lower() == "content-length":
-                content_length = int(value.strip())
-        if content_length > MAX_BODY_BYTES:
-            raise ValueError(
-                f"request body of {content_length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit"
-            )
-        body = await reader.readexactly(content_length) if content_length else b""
-        return method, path, body, headers
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    async def _route(
-        self, method: str, path: str, body: bytes, headers: Dict[str, str]
-    ) -> Tuple[int, Any]:
-        path = path.split("?", 1)[0]
-        if path == "/healthz" and method == "GET":
-            return await self._aggregate_healthz()
-        if path == "/stats" and method == "GET":
-            return await self._aggregate_stats()
-        if path == "/metrics" and method == "GET":
-            return 200, await self._aggregate_metrics()
-        if path == "/graphs" and method == "GET":
-            return await self._forward_any("GET", "/graphs")
-        if path == "/query":
-            if method != "POST":
-                return 405, {"error": "/query expects POST"}
-            return await self._forward_query(body, headers)
-        if path == "/query_batch":
-            if method != "POST":
-                return 405, {"error": "/query_batch expects POST"}
-            return await self._forward_batch(body, headers)
-        if path == "/update":
-            if method != "POST":
-                return 405, {"error": "/update expects POST"}
-            return await self._forward_update(body)
-        return 404, {"error": f"unknown endpoint {path!r}"}
-
-    async def _forward_query(
-        self, body: bytes, headers: Dict[str, str]
-    ) -> Tuple[int, Dict[str, Any]]:
-        try:
-            payload = json.loads(body.decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
+            payload = json_object(body)
             graph = payload["graph"]
         except (ValueError, KeyError) as error:
             return 400, {"error": f"bad request body: {error}"}
@@ -440,9 +250,7 @@ class Router:
                 )
         return status, answer
 
-    async def _forward_batch(
-        self, body: bytes, headers: Dict[str, str]
-    ) -> Tuple[int, Dict[str, Any]]:
+    async def _forward_batch(self, body: bytes, headers: Dict[str, str]) -> Response:
         """Scatter a batch over the ring, gather in submission order.
 
         Items are partitioned by owning replica and each partition goes
@@ -452,9 +260,7 @@ class Router:
         semantics stay per-item, exactly like a single replica's.
         """
         try:
-            payload = json.loads(body.decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
+            payload = json_object(body)
             graph = payload["graph"]
             queries = payload["queries"]
             if not isinstance(queries, list):
@@ -518,7 +324,7 @@ class Router:
         )
         return 200, {"graph": graph, "results": results}
 
-    async def _forward_update(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
+    async def _forward_update(self, body: bytes, headers: Dict[str, str]) -> Response:
         """Broadcast a graph delta to *every* live replica.
 
         Queries route to one owner, but replicas are shared-nothing: a
@@ -535,9 +341,7 @@ class Router:
         *this* replica, not any replica.
         """
         try:
-            payload = json.loads(body.decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
+            payload = json_object(body)
             payload["graph"]
         except (ValueError, KeyError) as error:
             return 400, {"error": f"bad request body: {error}"}
@@ -676,17 +480,15 @@ class Router:
             "error_type": "ClusterError",
         }
 
-    async def _forward_any(
-        self, method: str, path: str, body: bytes = b""
-    ) -> Tuple[int, Dict[str, Any]]:
-        """Forward to whichever live replica answers first in slot order."""
+    async def _forward_graphs(self, body: bytes, headers: Dict[str, str]) -> Response:
+        """Forward ``GET /graphs`` to the first live replica in slot order."""
         live = self._supervisor.live_endpoints()
         if not live:
             with self._stats_lock:
                 self._stats.no_replica += 1
             return 503, {"error": "no live replica"}
         first = sorted(live)[0]
-        return await self._forward_with_failover(method, path, body, first=first)
+        return await self._forward_with_failover("GET", "/graphs", b"", first=first)
 
     async def _http_request(
         self,
@@ -722,19 +524,12 @@ class Router:
             writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body)
             await writer.drain()
 
-            status_line = await reader.readline()
-            parts = status_line.decode("ascii", "replace").split(None, 2)
+            status_line, response_headers = await read_head(reader)
+            parts = status_line.split(None, 2)
             if len(parts) < 2 or not parts[1].isdigit():
                 raise ConnectionError(f"bad status line {status_line!r}")
             status = int(parts[1])
-            content_length = 0
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("ascii", "replace").partition(":")
-                if name.strip().lower() == "content-length":
-                    content_length = int(value.strip())
+            content_length = int(response_headers.get("content-length", 0))
             blob = await reader.readexactly(content_length) if content_length else b""
             if raw:
                 return status, blob.decode("utf-8", "replace")
@@ -753,14 +548,16 @@ class Router:
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
-    async def _aggregate_healthz(self) -> Tuple[int, Dict[str, Any]]:
+    async def _aggregate_healthz(
+        self, body: bytes, headers: Dict[str, str]
+    ) -> Response:
         live = self._supervisor.live_endpoints()
         replicas: Dict[str, Any] = {}
 
         async def _probe(member: str, endpoint: str) -> None:
             try:
                 status, payload = await asyncio.wait_for(
-                    self._http_request(endpoint, "GET", "/healthz"), _IO_TIMEOUT
+                    self._http_request(endpoint, "GET", "/healthz"), IO_TIMEOUT
                 )
                 replicas[member] = payload if status == 200 else {
                     "status": f"error {status}"
@@ -784,7 +581,7 @@ class Router:
             "expected": len(self._supervisor.keys()),
         }
 
-    async def _aggregate_stats(self) -> Tuple[int, Dict[str, Any]]:
+    async def _aggregate_stats(self, body: bytes, headers: Dict[str, str]) -> Response:
         live = self._supervisor.live_endpoints()
         restarts = self._supervisor.restart_counts()
         per_replica: Dict[str, Any] = {}
@@ -800,7 +597,7 @@ class Router:
             }
             try:
                 status, payload = await asyncio.wait_for(
-                    self._http_request(endpoint, "GET", "/stats"), _IO_TIMEOUT
+                    self._http_request(endpoint, "GET", "/stats"), IO_TIMEOUT
                 )
                 if status == 200:
                     per_replica[member] = {**identity, **payload}
@@ -841,7 +638,9 @@ class Router:
             "route_by": self._route_by,
         }
 
-    async def _aggregate_metrics(self) -> str:
+    async def _aggregate_metrics(
+        self, body: bytes, headers: Dict[str, str]
+    ) -> Response:
         """One Prometheus text page for the whole cluster.
 
         Scrapes every live replica's ``/metrics``, re-emits each parsed
@@ -858,7 +657,7 @@ class Router:
             try:
                 status, text = await asyncio.wait_for(
                     self._http_request(endpoint, "GET", "/metrics", raw=True),
-                    _IO_TIMEOUT,
+                    IO_TIMEOUT,
                 )
             except (OSError, asyncio.TimeoutError, ConnectionError):
                 return
@@ -896,4 +695,4 @@ class Router:
                         value,
                     )
                 )
-        return self._registry.render(extra_samples=extra)
+        return 200, self._registry.render(extra_samples=extra)

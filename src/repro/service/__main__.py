@@ -24,9 +24,7 @@ the combination is exactly how :mod:`repro.cluster` launches replicas.
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
-import threading
 from typing import List, Optional
 
 from repro.datasets import available_datasets
@@ -37,6 +35,7 @@ from repro.service.cache import DEFAULT_MAX_BYTES, ResultCache
 from repro.service.catalog import DatasetSource, FileSource, GraphCatalog
 from repro.obs.trace import SlowQueryLog, disable as disable_tracing
 from repro.service.core import ReliabilityService
+from repro.service.frontend import wait_for_stop_signal
 from repro.service.server import ServiceServer
 from repro.service.store import SharedResultStore
 
@@ -247,18 +246,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if store is not None:
         print(f"shared result store at {store.path}", flush=True)
 
-    stop = threading.Event()
-
-    def _signal_handler(signum, frame) -> None:  # noqa: ARG001
-        stop.set()
-
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            signal.signal(signum, _signal_handler)
-        except ValueError:  # not the main thread (embedded use)
-            break
     try:
-        stop.wait()
+        wait_for_stop_signal()
     finally:
         server.close()
         service.close()

@@ -1,6 +1,6 @@
 """The JSON-over-HTTP network front-end (stdlib asyncio only).
 
-A deliberately small HTTP/1.1 server exposing the service over six
+A deliberately small HTTP/1.1 server exposing the service over seven
 endpoints, all speaking the existing wire formats
 (:func:`~repro.engine.queries.query_from_dict` /
 :func:`~repro.engine.queries.result_from_dict` /
@@ -28,62 +28,29 @@ the asyncio loop never blocks on engine work; requests beyond the pool
 plus a bounded wait queue are rejected with **429** and a ``Retry-After``
 header — admission control, so overload degrades into fast rejections
 instead of unbounded queueing (updates count against the same budget).
-Client errors (unknown graph, malformed query, invalid terminals) map to
-**400**; an update on a read-only service to **403**; everything else to
-**500**.
-
-Connections are one-request (``Connection: close``), which keeps the
-protocol parser trivial; the blocking
-:class:`~repro.service.client.ServiceClient` opens one connection per
-call.
+Reading requests, status codes and the response format belong to the
+shared :mod:`repro.service.frontend`, which the cluster router also runs
+on.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Any, Dict, Optional, Tuple
 
 from repro.exceptions import ConfigurationError, ReproError, UpdateRejectedError
 from repro.obs import bridge, get_registry
-from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACE_HEADER, new_trace, parse_header, run_with_trace
 from repro.service.core import ReliabilityService
+from repro.service.frontend import MAX_BODY_BYTES, HttpFrontEnd, Response, json_object
 from repro.utils.validation import check_positive_int
 
 __all__ = ["AdmissionStats", "MAX_BODY_BYTES", "ServiceServer"]
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    403: "Forbidden",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-}
-
-#: Per-connection read timeout (seconds) for headers and body.
-_IO_TIMEOUT = 30.0
-
-#: Paths metered under their own label; everything else is "other".
-_METERED_PATHS = frozenset(
-    {"/healthz", "/graphs", "/stats", "/metrics", "/query", "/query_batch", "/update"}
-)
-
-#: Largest request body the server will buffer (a query batch of
-#: thousands of queries fits in a fraction of this); bigger declared
-#: bodies are rejected 413 before a byte of them is read.
-MAX_BODY_BYTES = 8 * 1024 * 1024
-
-
-class _BodyTooLarge(ValueError):
-    """A declared Content-Length beyond :data:`MAX_BODY_BYTES`."""
 
 
 @dataclass
@@ -98,7 +65,7 @@ class AdmissionStats:
         return asdict(self)
 
 
-class ServiceServer:
+class ServiceServer(HttpFrontEnd):
     """Serve a :class:`ReliabilityService` over JSON/HTTP.
 
     Parameters
@@ -126,6 +93,9 @@ class ServiceServer:
         agree.
     """
 
+    _not_started_error = ConfigurationError
+    _thread_name = "repro-service-server"
+
     def __init__(
         self,
         service: ReliabilityService,
@@ -141,8 +111,6 @@ class ServiceServer:
         if queue_limit < 0:
             raise ConfigurationError(f"queue_limit must be >= 0, got {queue_limit}")
         self._service = service
-        self._host = host
-        self._requested_port = port
         self._max_pending = max_inflight + queue_limit
         self._request_timeout = request_timeout
         self._executor = ThreadPoolExecutor(
@@ -152,238 +120,50 @@ class ServiceServer:
         self._pending = 0
         self._admission_lock = threading.Lock()
         self._registry = registry if registry is not None else get_registry()
-        self._request_seconds = self._registry.histogram(
-            "repro_http_request_seconds",
-            "Wall-clock latency of handled HTTP requests.",
-            labels=("path",),
+        super().__init__(
+            {
+                "/healthz": ("GET", self._healthz),
+                "/graphs": ("GET", self._graphs),
+                "/stats": ("GET", self._stats),
+                "/metrics": ("GET", self._metrics),
+                "/query": ("POST", partial(self._handle_query, "/query")),
+                "/query_batch": ("POST", partial(self._handle_query, "/query_batch")),
+                "/update": ("POST", self._handle_update),
+            },
+            host=host,
+            port=port,
+            request_seconds=self._registry.histogram(
+                "repro_http_request_seconds",
+                "Wall-clock latency of handled HTTP requests.",
+                labels=("path",),
+            ),
+            responses_total=self._registry.counter(
+                "repro_http_responses_total",
+                "HTTP responses by path and status code.",
+                labels=("path", "status"),
+            ),
         )
-        self._responses_total = self._registry.counter(
-            "repro_http_responses_total",
-            "HTTP responses by path and status code.",
-            labels=("path", "status"),
-        )
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._port: Optional[int] = None
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def host(self) -> str:
-        """The bind host."""
-        return self._host
-
-    @property
-    def port(self) -> int:
-        """The bound port (available once the server has started)."""
-        if self._port is None:
-            raise ConfigurationError("the server has not been started yet")
-        return self._port
-
-    @property
-    def address(self) -> str:
-        """``host:port`` of the running server."""
-        return f"{self._host}:{self.port}"
-
-    async def start(self) -> "ServiceServer":
-        """Bind and start accepting connections on the running loop."""
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._requested_port
-        )
-        self._port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    async def serve_forever(self) -> None:
-        """:meth:`start` (when needed) and serve until cancelled."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
-    def start_background(self) -> "ServiceServer":
-        """Run the server on a daemon thread; returns once it is bound.
-
-        This is how tests, the benchmark harness, and the CI smoke job
-        embed a live server: ``server.start_background()``, talk to
-        ``server.port``, then ``server.close()``.
-        """
-        ready = threading.Event()
-        startup_error: Dict[str, BaseException] = {}
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            try:
-                loop.run_until_complete(self.start())
-            except BaseException as error:  # surface bind failures to the caller
-                startup_error["error"] = error
-                ready.set()
-                loop.close()
-                return
-            ready.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(loop.shutdown_asyncgens())
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=_run, name="repro-service-server", daemon=True
-        )
-        self._thread.start()
-        ready.wait()
-        if "error" in startup_error:
-            raise startup_error["error"]
-        return self
 
     def close(self) -> None:
         """Stop accepting, stop the loop thread, release the thread pool."""
-        loop, server = self._loop, self._server
-        if loop is not None and server is not None and loop.is_running():
-
-            def _shutdown() -> None:
-                server.close()
-                loop.stop()
-
-            loop.call_soon_threadsafe(_shutdown)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
+        super().close()
         self._executor.shutdown(wait=False)
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Routes
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        status, payload = 500, {"error": "internal error"}
-        try:
-            parsed = await asyncio.wait_for(self._read_request(reader), _IO_TIMEOUT)
-        except asyncio.TimeoutError:
-            parsed, status, payload = None, 400, {"error": "request read timed out"}
-        except _BodyTooLarge as error:
-            parsed, status, payload = None, 413, {"error": str(error)}
-        except Exception as error:
-            parsed, status, payload = None, 400, {
-                "error": f"malformed request: {error}"
-            }
-        else:
-            if parsed is None:
-                return  # client closed without sending a request
-        if parsed is not None:
-            method, path, body, request_headers = parsed
-            route = path.split("?", 1)[0]
-            started = time.perf_counter()
-            try:
-                status, payload = await self._route(
-                    method, path, body, request_headers
-                )
-            except Exception as error:
-                # Parse errors above are the client's fault (400); anything
-                # escaping the routing layer is ours (500).
-                status, payload = 500, {
-                    "error": str(error),
-                    "error_type": type(error).__name__,
-                }
-            # Unknown paths collapse into one label so a scanner cannot
-            # blow up the metric's cardinality.
-            label = route if route in _METERED_PATHS else "other"
-            self._request_seconds.labels(path=label).observe(
-                time.perf_counter() - started
-            )
-            self._responses_total.labels(path=label, status=str(status)).inc()
-        try:
-            if isinstance(payload, str):  # text exposition (/metrics)
-                blob = payload.encode("utf-8")
-                content_type = PROMETHEUS_CONTENT_TYPE
-            else:
-                blob = json.dumps(payload, default=repr).encode("utf-8")
-                content_type = "application/json"
-            headers = [
-                f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-                f"Content-Type: {content_type}",
-                f"Content-Length: {len(blob)}",
-                "Connection: close",
-            ]
-            if status == 429:
-                headers.append("Retry-After: 1")
-            writer.write(("\r\n".join(headers) + "\r\n\r\n").encode("ascii") + blob)
-            await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
+    async def _healthz(self, body: bytes, headers: Dict[str, str]) -> Response:
+        return 200, {"status": "ok", "graphs": len(self._service.catalog.names())}
 
-    @staticmethod
-    async def _read_request(
-        reader: asyncio.StreamReader,
-    ) -> Optional[Tuple[str, str, bytes, Dict[str, str]]]:
-        request_line = await reader.readline()
-        if not request_line.strip():
-            return None
-        parts = request_line.decode("ascii", "replace").split()
-        if len(parts) < 2:
-            raise ValueError(f"bad request line {request_line!r}")
-        method, path = parts[0].upper(), parts[1]
-        content_length = 0
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("ascii", "replace").partition(":")
-            name = name.strip().lower()
-            headers[name] = value.strip()
-            if name == "content-length":
-                content_length = int(value.strip())
-        if content_length > MAX_BODY_BYTES:
-            raise _BodyTooLarge(
-                f"request body of {content_length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit"
-            )
-        body = await reader.readexactly(content_length) if content_length else b""
-        return method, path, body, headers
+    async def _graphs(self, body: bytes, headers: Dict[str, str]) -> Response:
+        return 200, {"graphs": self._service.describe_graphs()}
 
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    async def _route(
-        self, method: str, path: str, body: bytes, headers: Dict[str, str]
-    ) -> Tuple[int, Any]:
-        path = path.split("?", 1)[0]
-        if path == "/healthz" and method == "GET":
-            return 200, {
-                "status": "ok",
-                "graphs": len(self._service.catalog.names()),
-            }
-        if path == "/graphs" and method == "GET":
-            return 200, {"graphs": self._service.describe_graphs()}
-        if path == "/stats" and method == "GET":
-            stats = self._service.stats()
-            stats["admission"] = self._admission_snapshot()
-            return 200, stats
-        if path == "/metrics" and method == "GET":
-            return 200, self._render_metrics()
-        if path in ("/query", "/query_batch"):
-            if method != "POST":
-                return 405, {"error": f"{path} expects POST"}
-            return await self._handle_query(path, body, headers)
-        if path == "/update":
-            if method != "POST":
-                return 405, {"error": f"{path} expects POST"}
-            return await self._handle_update(body)
-        return 404, {"error": f"unknown endpoint {path!r}"}
+    async def _stats(self, body: bytes, headers: Dict[str, str]) -> Response:
+        stats = self._service.stats()
+        stats["admission"] = self._admission_snapshot()
+        return 200, stats
 
-    def _render_metrics(self) -> str:
+    async def _metrics(self, body: bytes, headers: Dict[str, str]) -> Response:
         """The ``GET /metrics`` text: registry + bridged ``/stats`` families.
 
         Bridging happens here, at scrape time, from the same snapshots
@@ -392,7 +172,7 @@ class ServiceServer:
         """
         samples = bridge.service_samples(self._service.stats())
         samples += bridge.admission_samples(self._admission_snapshot())
-        return self._registry.render(extra_samples=samples)
+        return 200, self._registry.render(extra_samples=samples)
 
     def _admission_snapshot(self) -> Dict[str, int]:
         with self._admission_lock:
@@ -428,11 +208,9 @@ class ServiceServer:
 
     async def _handle_query(
         self, path: str, body: bytes, headers: Dict[str, str]
-    ) -> Tuple[int, Dict[str, Any]]:
+    ) -> Response:
         try:
-            payload = json.loads(body.decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
+            payload = json_object(body)
             graph = payload["graph"]
         except (ValueError, KeyError) as error:
             return 400, {"error": f"bad request body: {error}"}
@@ -483,11 +261,9 @@ class ServiceServer:
         finally:
             self._release()
 
-    async def _handle_update(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
+    async def _handle_update(self, body: bytes, headers: Dict[str, str]) -> Response:
         try:
-            payload = json.loads(body.decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
+            payload = json_object(body)
             graph = payload["graph"]
             delta = payload["delta"]
         except (ValueError, KeyError) as error:
