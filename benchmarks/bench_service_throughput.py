@@ -237,8 +237,6 @@ def benchmark(
                 "cache_hit_rate": cache_stats["hit_rate"],
                 "engine_evaluations": stats["service"]["engine_evaluations"],
                 "coalesced": stats["coalescer"]["coalesced"],
-                "batches": stats["coalescer"]["batches"],
-                "largest_batch": stats["coalescer"]["largest_batch"],
                 "parity_mismatches": mismatches,
             }
         )

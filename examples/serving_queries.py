@@ -8,8 +8,8 @@ process:
 1. a :class:`GraphCatalog` registers the karate graph (one prepared
    engine per graph × config, so all clients share its decomposition
    index and world pools),
-2. a :class:`ReliabilityService` adds the result cache and the
-   single-flight micro-batcher,
+2. a :class:`ReliabilityService` adds the result cache and single-flight
+   coalescing of identical in-flight requests,
 3. a :class:`ServiceServer` exposes it over JSON/HTTP on an ephemeral
    port, and a few :class:`ServiceClient` threads hammer it with a
    skewed workload,
@@ -81,9 +81,9 @@ def main() -> None:
     print(f"cache: {stats['cache']['hits']} hits / "
           f"{stats['cache']['misses']} misses "
           f"(hit rate {stats['cache']['hit_rate']:.2f})")
-    print(f"coalescer: {stats['coalescer']['coalesced']} coalesced, "
-          f"{stats['coalescer']['batches']} batches "
-          f"(largest {stats['coalescer']['largest_batch']})")
+    print(f"coalescer: {stats['coalescer']['coalesced']} of "
+          f"{stats['coalescer']['submitted']} misses shared an in-flight "
+          f"evaluation")
     print(f"engine evaluated {stats['service']['engine_evaluations']} of "
           f"{stats['service']['requests']} requests\n")
 

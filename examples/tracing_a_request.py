@@ -3,8 +3,9 @@
 
 The observability layer (:mod:`repro.obs`) follows a single request —
 identified by an ``X-Repro-Trace`` header the caller pins — through the
-HTTP server, the cache lookup, the coalescer's micro-batch, the engine,
-and the compiled kernel, and hands the per-stage wall/CPU timings back
+HTTP server, the cache lookup, the evaluation of a miss (on the server
+thread serving the request), the engine's lazy first ``prepare()``, and
+the compiled kernel, and hands the per-stage wall/CPU timings back
 in the response's opt-in ``timings`` section.  This example
 
 1. serves the karate graph from an in-process :class:`ServiceServer`,
@@ -85,7 +86,7 @@ def main() -> None:
             "repro_service_requests_total",
             "repro_service_cache_hits_total",
             "repro_service_engine_evaluations_total",
-            "repro_coalesce_batch_size_count",
+            "repro_coalesce_submitted_total",
         )
         for name, labels, value in samples:
             if name in show:

@@ -254,8 +254,8 @@ class Router(HttpFrontEnd):
         """Scatter a batch over the ring, gather in submission order.
 
         Items are partitioned by owning replica and each partition goes
-        out as one ``/query_batch`` sub-request, concurrently; replicas
-        keep their micro-batching advantage for the items they own.  A
+        out as one ``/query_batch`` sub-request, concurrently; each
+        replica coalesces repeats among the items it owns.  A
         failed partition degrades to per-item error entries — batch
         semantics stay per-item, exactly like a single replica's.
         """

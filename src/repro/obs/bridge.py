@@ -10,6 +10,9 @@ blob.  Rather than planting registry hooks in every hot path (and
 risking drift between ``/stats`` and ``/metrics``), the bridge converts
 one ``/stats`` snapshot into Prometheus samples at scrape time: the
 dataclasses keep their APIs untouched and both endpoints always agree.
+Point-in-time fields (``hit_rate``, ``current_bytes``, ``entries``, and
+the cache's byte budget ``max_bytes``) become gauges; every other field
+is a cumulative counter exported with a ``_total`` suffix.
 
 Every sample is a ``(name, type, help, labels, value)`` tuple consumed
 by :meth:`MetricsRegistry.render`'s ``extra_samples`` hook.
@@ -56,7 +59,7 @@ def service_samples(stats: Mapping[str, Any]) -> List[Sample]:
 
     Emits ``repro_service_*`` for the request-level counters,
     ``repro_cache_*`` / ``repro_store_*`` / ``repro_coalesce_*`` for the
-    tier and batcher counters, and ``repro_engine_*{graph=...}`` for the
+    tier and coalescer counters, and ``repro_engine_*{graph=...}`` for the
     per-graph engine counters.
     """
     samples: List[Sample] = []
@@ -74,10 +77,10 @@ def service_samples(stats: Mapping[str, Any]) -> List[Sample]:
         ("repro_coalesce", stats.get("coalescer"), _COALESCE_HELP),
     ):
         for field, value in _numeric_items(section):
-            # Ratios and sizes are point-in-time values, not counters.
+            # Ratios, sizes and budgets are point-in-time values, not counters.
             kind = (
                 "gauge"
-                if field in ("hit_rate", "current_bytes", "entries", "largest_batch")
+                if field in ("hit_rate", "current_bytes", "entries", "max_bytes")
                 else "counter"
             )
             suffix = "" if kind == "gauge" else "_total"

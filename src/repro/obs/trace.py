@@ -1,7 +1,7 @@
 """Request tracing: contextvar-carried traces with per-span wall/CPU time.
 
 One :class:`Trace` follows one request through the stack — service →
-coalescer → engine → backend → compiled kernel — collecting
+engine → backend → compiled kernel — collecting
 :class:`Span` records (name, start offset, wall seconds, CPU seconds).
 The active trace rides a :mod:`contextvars` variable, so instrumented
 code anywhere below simply calls :func:`span`:
@@ -13,14 +13,14 @@ When no trace is active (the default), :func:`span` returns a shared
 no-op context manager after a single contextvar read — the disabled cost
 the service bench's overhead gate holds under 2%.
 
-Traces cross process and host boundaries explicitly:
+Traces cross thread, process and host boundaries explicitly:
 
+* **Executor threads**: the HTTP server runs each blocking service call
+  through :func:`run_with_trace`, so a cache miss — evaluated on that
+  thread — records its engine spans into the request's own trace.
 * **HTTP hops** (client → server, router → replica) propagate the trace
   id in the ``X-Repro-Trace`` header (:func:`format_header` /
   :func:`parse_header`), so one id spans router → replica → engine.
-* **The coalescer's batcher thread** evaluates under its own collection
-  trace; the service attaches those spans to every waiter's response
-  (see :meth:`ReliabilityService.query`).
 
 Determinism: trace ids and span timings are response *metadata*.  They
 never feed seeds, fingerprints, cache keys, or checksums — timings ride
@@ -36,8 +36,8 @@ import logging
 import threading
 import time
 import uuid
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
     "Span",
@@ -166,11 +166,6 @@ class Trace:
         self._lock = threading.Lock()
         self._dropped = 0
 
-    @property
-    def origin(self) -> float:
-        """The ``time.perf_counter()`` reading its span offsets count from."""
-        return self._start
-
     def span(self, name: str) -> _SpanContext:
         """A context manager timing one named stage into this trace."""
         return _SpanContext(self, name)
@@ -183,21 +178,6 @@ class Trace:
                 self._dropped += 1
                 return
             self._spans.append(Span(name, wall0 - self._start, wall, cpu))
-
-    def extend(self, spans: Iterable[Span], *, origin: float) -> None:
-        """Stitch in spans recorded under another trace (coalescer hand-off).
-
-        ``origin`` is that trace's :attr:`origin`; each span's offset is
-        rebased onto this trace's clock, so a stitched span lands inside
-        the stage that waited for it.
-        """
-        shift = origin - self._start
-        with self._lock:
-            for item in spans:
-                if len(self._spans) >= _MAX_SPANS:
-                    self._dropped += 1
-                    continue
-                self._spans.append(replace(item, start_offset=item.start_offset + shift))
 
     def spans(self) -> List[Span]:
         """An ordered snapshot (by start offset) of the recorded spans."""

@@ -16,11 +16,11 @@ prepared graphs, with cross-request reuse the engine alone cannot do.
   TTL), byte-bounded cache keyed by ``(graph fingerprint, query
   canonical key, config fingerprint)``; hits are bit-identical to fresh
   deterministic-seed evaluation,
-* :mod:`repro.service.coalesce` — :class:`SingleFlightBatcher`:
-  concurrent identical requests share one computation, and distinct
-  pending requests for the same graph fold into one micro-batch,
+* :mod:`repro.service.coalesce` — :class:`SingleFlight`: concurrent
+  identical requests share one computation,
 * :mod:`repro.service.core` — :class:`ReliabilityService`: the blocking
-  serving facade combining the three,
+  serving facade combining the three; a cache miss is evaluated on the
+  requesting thread, under one lock shared with graph updates,
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   asyncio JSON-over-HTTP front-end (``/query``, ``/query_batch``,
   ``/update``, ``/graphs``, ``/stats``, ``/healthz``, with admission
@@ -67,7 +67,7 @@ from repro.service.client import (
     ServiceOverloadedError,
     ServiceResponse,
 )
-from repro.service.coalesce import CoalesceStats, SingleFlightBatcher
+from repro.service.coalesce import CoalesceStats, SingleFlight
 from repro.service.core import ReliabilityService, ServiceStats
 from repro.service.server import AdmissionStats, ServiceServer
 from repro.service.snapshot import (
@@ -97,7 +97,7 @@ __all__ = [
     "ServiceServer",
     "ServiceStats",
     "SharedResultStore",
-    "SingleFlightBatcher",
+    "SingleFlight",
     "StoreStats",
     "cache_key",
     "graph_fingerprint",

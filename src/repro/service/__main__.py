@@ -102,9 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine seed (default: the service's pinned deterministic seed)",
     )
     parser.add_argument(
-        "--max-batch", type=int, default=64, help="largest micro-batch size"
-    )
-    parser.add_argument(
         "--cache-bytes", type=int, default=DEFAULT_MAX_BYTES,
         help="result-cache byte budget (0 disables caching)",
     )
@@ -214,7 +211,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             catalog,
             cache=cache,
             store=store,
-            max_batch=args.max_batch,
             allow_updates=allow_updates,
             slow_query_log=(
                 SlowQueryLog(args.slow_query_log)

@@ -16,8 +16,14 @@ therefore a pure function of the cache key triple::
 
 so a cached payload is bit-identical (timing fields aside, per
 :func:`~repro.engine.queries.results_checksum`) to recomputing — the
-property the cache, the coalescer, and the micro-batcher all rely on, and
-the one the benchmark's parity gate enforces.
+property the cache and the coalescer rely on, and the one the
+benchmark's parity gate enforces.
+
+A cache miss is evaluated on the thread that asked for it (an HTTP
+executor thread, or whoever called :meth:`ReliabilityService.query`)
+under the service's update lock, so evaluations are serialized against
+each other and against :meth:`ReliabilityService.update`, and the
+request's own trace records the evaluation's spans.
 """
 
 from __future__ import annotations
@@ -30,11 +36,10 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 from repro.engine.deltas import DeltaOp
 from repro.engine.queries import Query, query_from_dict, results_checksum
 from repro.exceptions import ConfigurationError, UpdateRejectedError
-from repro.obs import get_registry
-from repro.obs.trace import SlowQueryLog, activate, current_trace, new_trace, span
+from repro.obs.trace import SlowQueryLog, current_trace, span
 from repro.service.cache import ResultCache, cache_key
 from repro.service.catalog import GraphCatalog
-from repro.service.coalesce import SingleFlightBatcher
+from repro.service.coalesce import SingleFlight
 from repro.service.store import SharedResultStore
 from repro.utils.timers import Timer
 
@@ -82,8 +87,6 @@ class ReliabilityService:
         A :class:`ResultCache`, or ``None`` to disable caching (the
         benchmark's cache-off mode).  Defaults to a fresh cache with
         default bounds.
-    max_batch:
-        Largest micro-batch one evaluator call may receive.
     store:
         An optional :class:`~repro.service.store.SharedResultStore` — the
         persistent tier *under* the memory cache.  Lookups fall through
@@ -102,11 +105,6 @@ class ReliabilityService:
         :meth:`query` slower than its threshold is logged (with its trace
         id when one is active) and surfaced in :meth:`stats` under
         ``"slow_queries"``.
-    registry:
-        The :class:`~repro.obs.metrics.MetricsRegistry` the coalescer
-        records its batch-size/latency histograms into.  Defaults to the
-        process-global registry (so ``GET /metrics`` sees them); tests
-        pass a private one.
     """
 
     def __init__(
@@ -115,10 +113,8 @@ class ReliabilityService:
         *,
         cache: Any = _DEFAULT_CACHE,
         store: Optional[SharedResultStore] = None,
-        max_batch: int = 64,
         allow_updates: bool = True,
         slow_query_log: Optional[SlowQueryLog] = None,
-        registry: Any = None,
     ) -> None:
         self._catalog = catalog
         self._cache: Optional[ResultCache] = (
@@ -129,16 +125,12 @@ class ReliabilityService:
         self._stats = ServiceStats()
         self._stats_lock = threading.Lock()
         self._allow_updates = allow_updates
-        # Serializes update() against micro-batch evaluation: a delta must
-        # never land between a batch's evaluation and its cache writes, or
-        # post-delta results would be stored under the pre-delta key.
+        # Serializes evaluations against each other and against update(): a
+        # delta must never land between an evaluation and its cache writes,
+        # or post-delta results would be stored under the pre-delta key.
         self._update_lock = threading.Lock()
         self._slow_query_log = slow_query_log
-        self._batcher = SingleFlightBatcher(
-            self._evaluate_group,
-            max_batch=max_batch,
-            registry=registry if registry is not None else get_registry(),
-        )
+        self._flight = SingleFlight()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -170,7 +162,7 @@ class ReliabilityService:
             "shared_store": (
                 self._store.stats().to_dict() if self._store is not None else None
             ),
-            "coalescer": self._batcher.stats().to_dict(),
+            "coalescer": self._flight.stats().to_dict(),
             "engines": self._catalog.engine_stats(),
             "config_fingerprint": self._config_fingerprint,
         }
@@ -195,17 +187,19 @@ class ReliabilityService:
     ) -> Dict[str, Any]:
         """Answer one query on the named graph; returns the JSON payload.
 
-        Cache hits return immediately; misses coalesce with identical
-        in-flight requests and ride the next micro-batch.  Evaluation
-        errors (unknown graph, invalid terminals, ...) re-raise here —
-        the HTTP layer maps them to 4xx responses.
+        Cache hits return immediately.  A miss waits for an identical
+        in-flight request when there is one, and is otherwise evaluated
+        on this thread; ``timeout`` bounds both waits (``TimeoutError``
+        on expiry).  Evaluation errors (unknown graph, invalid
+        terminals, ...) re-raise here — the HTTP layer maps them to 4xx
+        responses.
 
         With ``timings=True`` and an active trace (see
         :func:`repro.obs.trace.activate`) the response carries an
         opt-in ``"timings"`` section: the trace id and per-stage
-        wall/CPU spans, including the evaluation spans stitched over
-        from the batcher thread.  Timing data stays response metadata —
-        the cached payload and its checksum never contain it.
+        wall/CPU spans, the evaluation's own included when this request
+        computed it.  Timing data stays response metadata — the cached
+        payload and its checksum never contain it.
         """
         with self._stats_lock:
             self._stats.requests += 1
@@ -221,12 +215,11 @@ class ReliabilityService:
             if payload is not None:
                 self._count_hit(tier)
                 cached = True
-                response = self._respond(payload, tier=tier, graph=graph)
             else:
-                future = self._batcher.submit(graph, request.key, request.query)
+                self._check_open()
                 with span("service.wait"):
-                    payload = future.result(timeout=timeout)
-                response = self._respond(payload, tier=None, graph=graph)
+                    payload = self._compute(graph, request, timeout)
+            response = self._respond(payload, tier=tier, graph=graph)
         except Exception:
             with self._stats_lock:
                 self._stats.errors += 1
@@ -255,7 +248,9 @@ class ReliabilityService:
 
         Per-item failures become ``{"error": ..., "error_type": ...}``
         entries instead of failing the whole batch — batch clients should
-        check each entry.
+        check each entry.  Misses are evaluated one distinct query at a
+        time on this thread; a query repeated within the batch is
+        evaluated once and its repeats count as coalesced.
         """
         requests = []
         outcomes: List[Optional[Dict[str, Any]]] = []
@@ -270,7 +265,7 @@ class ReliabilityService:
                 outcomes.append(_error_payload(error))
                 with self._stats_lock:
                     self._stats.errors += 1
-        futures: List[Optional[Any]] = [None] * len(requests)
+        misses: Dict[Any, List[int]] = {}
         for position, request in enumerate(requests):
             if request is None:
                 continue
@@ -279,20 +274,21 @@ class ReliabilityService:
                 self._count_hit(tier)
                 outcomes[position] = self._respond(payload, tier=tier, graph=graph)
             else:
-                futures[position] = self._batcher.submit(
-                    graph, request.key, request.query
-                )
-        for position, future in enumerate(futures):
-            if future is None:
-                continue
+                misses.setdefault(request.key, []).append(position)
+        if misses:
+            self._check_open()
+        for positions in misses.values():
+            request = requests[positions[0]]
             try:
-                outcomes[position] = self._respond(
-                    future.result(timeout=timeout), tier=None, graph=graph
-                )
+                payload = self._compute(graph, request, timeout, len(positions))
             except Exception as error:
-                outcomes[position] = _error_payload(error)
+                for position in positions:
+                    outcomes[position] = _error_payload(error)
                 with self._stats_lock:
-                    self._stats.errors += 1
+                    self._stats.errors += len(positions)
+                continue
+            for position in positions:
+                outcomes[position] = self._respond(payload, tier=None, graph=graph)
         return [outcome for outcome in outcomes if outcome is not None]
 
     # ------------------------------------------------------------------
@@ -310,7 +306,7 @@ class ReliabilityService:
 
         Delegates to :meth:`GraphCatalog.update` (validation, incremental
         re-prepare, fingerprint/version bump) under the update lock, so a
-        delta never interleaves with a micro-batch evaluation, then drops
+        delta never interleaves with an evaluation, then drops
         exactly the results cached under the pre-delta fingerprint from
         both cache tiers.  The payload carries the catalog's
         :class:`~repro.service.catalog.CatalogUpdate` fields plus an
@@ -373,10 +369,11 @@ class ReliabilityService:
         return {"cache_entries": cache_entries, "store_entries": store_entries}
 
     def close(self) -> None:
-        """Drain pending work and stop the batcher thread."""
-        if not self._closed:
-            self._closed = True
-            self._batcher.close()
+        """Stop evaluating: later misses raise, cache hits are still served.
+
+        Evaluations already running finish.
+        """
+        self._closed = True
 
     def __enter__(self) -> "ReliabilityService":
         return self
@@ -441,76 +438,67 @@ class ReliabilityService:
         # cache key is content-based, so a hit may have been computed under
         # a different catalog name for the same graph.
         response = copy.deepcopy(payload)
-        # Evaluation spans measured on the batcher thread ride the outcome
-        # with their trace's origin (never the cached payload); stitch them
-        # into this request's trace and drop them from the JSON response.
-        stitched = response.pop("_spans", None)
-        if stitched:
-            trace = current_trace()
-            if trace is not None:
-                origin, spans = stitched
-                trace.extend(spans, origin=origin)
         response["cached"] = tier is not None
         response["cache_tier"] = tier
         response["graph"] = graph
         return response
 
-    def _evaluate_group(self, group: str, items: Sequence[Any]) -> List[Any]:
-        """Evaluate one drained micro-batch on the group's shared engine.
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ConfigurationError("the service is closed")
 
-        Runs on the batcher thread.  Each query is evaluated once, through
-        ``engine.query(q, seed_index=0)``; a query that raises yields its
-        exception as that request's outcome, so failures stay
-        per-request.  Successful payloads are stored in the cache before
-        their futures resolve.
+    def _compute(
+        self,
+        graph: str,
+        request: "ReliabilityService._Request",
+        timeout: Optional[float],
+        requests: int = 1,
+    ) -> Dict[str, Any]:
+        """A miss's payload, evaluated once across identical requests in flight."""
+        return self._flight.run(
+            request.key,
+            lambda: self._evaluate(graph, request.query, timeout),
+            timeout=timeout,
+            requests=requests,
+        )
 
-        Holds the update lock end to end, and keys cache writes by the
-        fingerprint read *inside* it, not the one the request was
-        submitted under: a delta landing between submission and
-        evaluation would otherwise store post-delta results under the
+    def _evaluate(
+        self, graph: str, query: Query, timeout: Optional[float]
+    ) -> Dict[str, Any]:
+        """Evaluate one query on the graph's shared engine, on this thread.
+
+        Runs ``engine.query(query, seed_index=0)`` and stores the payload
+        in both cache tiers before returning it.  Holds the update lock
+        end to end (waiting at most ``timeout`` seconds for it), and keys
+        the cache writes by the fingerprint read *inside* it, not the one
+        the request was looked up under: a delta landing between lookup
+        and evaluation would otherwise store post-delta results under the
         pre-delta key — exactly the stale entry scoped invalidation just
         removed.
         """
-        with self._update_lock:
-            return self._evaluate_group_locked(group, items)
-
-    def _evaluate_group_locked(self, group: str, items: Sequence[Any]) -> List[Any]:
-        engine = self._catalog.engine(group)
-        fingerprint = self._catalog.entry(group).fingerprint
-        queries = [request for _, request in items]
-        before = engine.stats.queries_served
-        # Evaluation runs on the batcher thread, outside any request's
-        # context; it collects spans under its own trace and hands them to
-        # every waiter through the outcome (the cached payload stays free
-        # of timing data).
-        batch_trace = new_trace()
-        results: List[Any] = []
-        with activate(batch_trace):
-            for query in queries:
-                try:
-                    results.append(engine.query(query, seed_index=0))
-                except Exception as error:
-                    results.append(error)
-        spans = batch_trace.spans() if batch_trace is not None else []
-        # Count real engine work, not intent: a query that fails after
-        # drawing its seed still cost an evaluation.
-        with self._stats_lock:
-            self._stats.engine_evaluations += engine.stats.queries_served - before
-        outcomes: List[Any] = []
-        for (_, query), result in zip(items, results):
-            if isinstance(result, Exception):
-                outcomes.append(result)
-                continue
+        if not self._update_lock.acquire(timeout=-1 if timeout is None else timeout):
+            raise TimeoutError(f"timed out after {timeout} s waiting to evaluate")
+        try:
+            engine = self._catalog.engine(graph)
+            fingerprint = self._catalog.entry(graph).fingerprint
+            before = engine.stats.queries_served
+            try:
+                result = engine.query(query, seed_index=0)
+            finally:
+                # Count real engine work, not intent: a query that fails
+                # after drawing its seed still cost an evaluation.
+                with self._stats_lock:
+                    self._stats.engine_evaluations += (
+                        engine.stats.queries_served - before
+                    )
             payload = {
-                "graph": group,
+                "graph": graph,
                 "graph_fingerprint": fingerprint,
                 "config_fingerprint": self._config_fingerprint,
                 "kind": type(result).kind,
                 "checksum": results_checksum([result]),
                 "result": result.to_dict(),
             }
-            # Re-derive the storage key from the *current* fingerprint —
-            # the submitted key may predate a graph update.
             key = cache_key(
                 fingerprint, query.canonical_key(), self._config_fingerprint
             )
@@ -518,10 +506,9 @@ class ReliabilityService:
                 self._cache.put(key, payload)
             if self._store is not None:
                 self._store.put(key, payload)
-            outcomes.append(
-                {**payload, "_spans": (batch_trace.origin, spans)} if spans else payload
-            )
-        return outcomes
+            return payload
+        finally:
+            self._update_lock.release()
 
 
 def _error_payload(error: Exception) -> Dict[str, Any]:

@@ -24,7 +24,9 @@ when the body asks with ``{"timings": true}`` — answer with a per-stage
 for timing-requesting bodies, so ``timings`` works standalone too.
 
 Evaluation runs on a bounded thread pool (``max_inflight`` threads) so
-the asyncio loop never blocks on engine work; requests beyond the pool
+the asyncio loop never blocks on engine work — a cache miss is evaluated
+on the pool thread that serves it, under the request's trace (see
+:func:`~repro.obs.trace.run_with_trace`); requests beyond the pool
 plus a bounded wait queue are rejected with **429** and a ``Retry-After``
 header — admission control, so overload degrades into fast rejections
 instead of unbounded queueing (updates count against the same budget).

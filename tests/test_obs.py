@@ -299,7 +299,7 @@ class TestBridges:
         stats = {
             "service": {"requests": 10, "cache_hits": 4, "errors": 0},
             "cache": {"hits": 4, "misses": 6, "hit_rate": 0.4},
-            "coalescer": {"batches": 2, "largest_batch": 3},
+            "coalescer": {"submitted": 3, "coalesced": 1},
             "engines": {"karate": {"queries": 6}},
         }
         samples = service_samples(stats)
@@ -307,11 +307,17 @@ class TestBridges:
         assert by_name["repro_service_requests_total"][1] == 10.0
         assert by_name["repro_cache_hit_rate"][1] == 0.4
         assert by_name["repro_cache_hits_total"][1] == 4.0
-        assert by_name["repro_coalesce_largest_batch"][1] == 3.0
+        assert by_name["repro_coalesce_coalesced_total"][1] == 1.0
         assert by_name["repro_engine_queries_total"][0] == {"graph": "karate"}
         kinds = {name: kind for name, kind, _, _, _ in samples}
         assert kinds["repro_cache_hit_rate"] == "gauge"
         assert kinds["repro_cache_hits_total"] == "counter"
+
+    def test_cache_byte_budget_is_a_gauge(self):
+        samples = service_samples({"cache": {"max_bytes": 1024, "current_bytes": 0}})
+        kinds = {name: (kind, value) for name, kind, _, _, value in samples}
+        assert kinds["repro_cache_max_bytes"] == ("gauge", 1024.0)
+        assert "repro_cache_max_bytes_total" not in kinds
 
     def test_service_samples_accept_fingerprint_nested_engines(self):
         # The live shape: catalog.engine_stats() nests one counter dict
@@ -358,16 +364,15 @@ class TestBridges:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def obs_service():
-    registry = MetricsRegistry()
     catalog = GraphCatalog(EstimatorConfig(backend="sampling", samples=200, rng=7))
     catalog.register("karate", load_dataset("karate"))
-    with ReliabilityService(catalog, registry=registry) as service:
-        yield service, registry
+    with ReliabilityService(catalog) as service:
+        yield service
 
 
 class TestServiceTimings:
     def test_traced_query_carries_spans(self, obs_service):
-        service, _ = obs_service
+        service = obs_service
         query = KTerminalQuery(terminals=(1, 34))
         trace = new_trace("feedc0de")
         with activate(trace):
@@ -377,8 +382,8 @@ class TestServiceTimings:
         names = [item["name"] for item in timings["spans"]]
         assert "service.lookup" in names
         assert any(name.startswith("engine.") for name in names)
-        # Spans stitched over from the batcher thread are rebased onto this
-        # trace's clock: every engine span lies inside the wait for it.
+        # The miss is evaluated on this thread under this trace: every
+        # engine span lies inside the wait for it.
         (wait,) = [item for item in trace.spans() if item.name == "service.wait"]
         engine_spans = [item for item in trace.spans() if item.name.startswith("engine.")]
         for item in engine_spans:
@@ -389,7 +394,7 @@ class TestServiceTimings:
             )
 
     def test_timings_absent_without_trace_and_checksum_stable(self, obs_service):
-        service, _ = obs_service
+        service = obs_service
         query = KTerminalQuery(terminals=(2, 30))
         untraced = service.query("karate", query, timings=True)
         assert "timings" not in untraced
@@ -399,12 +404,34 @@ class TestServiceTimings:
         assert "timings" in traced
         assert traced["checksum"] == untraced["checksum"]
 
-    def test_coalescer_histograms_record_into_registry(self, obs_service):
-        service, registry = obs_service
-        service.query("karate", KTerminalQuery(terminals=(5, 17)))
-        snapshot = registry.to_dict()
-        assert snapshot["repro_coalesce_batch_size"]["values"][0]["count"] >= 1
-        assert snapshot["repro_coalesce_batch_seconds"]["values"][0]["count"] >= 1
+    def test_first_traced_miss_records_the_lazy_prepare(self):
+        catalog = GraphCatalog(EstimatorConfig(backend="sampling", samples=200, rng=7))
+        catalog.register("karate", load_dataset("karate"))
+        trace = new_trace()
+        with ReliabilityService(catalog) as service, activate(trace):
+            service.query("karate", KTerminalQuery(terminals=(1, 34)))
+        spans = {item.name: item for item in trace.spans()}
+        wait = spans["service.wait"]
+        for name in ("engine.prepare", "kernel.compile"):
+            inner = spans[name]
+            assert wait.start_offset <= inner.start_offset
+            assert (
+                inner.start_offset + inner.wall_seconds
+                <= wait.start_offset + wait.wall_seconds
+            )
+
+    def test_untraced_miss_creates_no_trace(self, obs_service, monkeypatch):
+        created = []
+        init = trace_mod.Trace.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(trace_mod.Trace, "__init__", counting_init)
+        payload = obs_service.query("karate", KTerminalQuery(terminals=(5, 17)))
+        assert payload["cached"] is False
+        assert created == []
 
 
 # ----------------------------------------------------------------------
@@ -415,7 +442,7 @@ def obs_server():
     registry = MetricsRegistry()
     catalog = GraphCatalog(EstimatorConfig(backend="sampling", samples=200, rng=7))
     catalog.register("karate", load_dataset("karate"))
-    service = ReliabilityService(catalog, registry=registry)
+    service = ReliabilityService(catalog)
     server = ServiceServer(service, port=0, registry=registry).start_background()
     yield server
     server.close()
@@ -432,7 +459,7 @@ class TestServerMetrics:
         assert "repro_http_request_seconds_bucket" in present
         assert "repro_http_responses_total" in present
         assert "repro_service_requests_total" in present
-        assert "repro_coalesce_batch_size_bucket" in present
+        assert "repro_coalesce_submitted_total" in present
         assert types["repro_http_request_seconds"] == "histogram"
 
     def test_traced_http_query_returns_callers_trace_id(self, obs_server):

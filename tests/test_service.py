@@ -1,6 +1,6 @@
 """Tests of the query-serving subsystem (:mod:`repro.service`).
 
-Covers the catalog, the result cache, the single-flight micro-batcher,
+Covers the catalog, the result cache, single-flight coalescing,
 the blocking service core (including its bit-exactness contract: a cached
 answer equals a fresh deterministic-seed engine evaluation), the pinned
 seed-index engine plumbing the service rides on, and the JSON/HTTP
@@ -10,13 +10,20 @@ mapping, and 429 admission control.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+from concurrent.futures import TimeoutError as FutureTimeoutError
 
 import pytest
 
 from repro.datasets import load_dataset
-from repro.engine import EstimatorConfig, ReliabilityEngine, results_checksum
+from repro.engine import (
+    EstimatorConfig,
+    ReliabilityEngine,
+    SetEdgeProbability,
+    results_checksum,
+)
 from repro.engine.queries import (
     KTerminalQuery,
     ReliabilitySearchQuery,
@@ -33,7 +40,7 @@ from repro.service import (
     ServiceError,
     ServiceOverloadedError,
     ServiceServer,
-    SingleFlightBatcher,
+    SingleFlight,
     cache_key,
     graph_fingerprint,
 )
@@ -193,99 +200,163 @@ class TestResultCache:
 
 
 # ----------------------------------------------------------------------
-# Single-flight + micro-batching
+# Single-flight
 # ----------------------------------------------------------------------
-class TestSingleFlightBatcher:
+def _until(condition, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "condition not reached"
+        time.sleep(0.005)
+
+
+class TestSingleFlight:
     def test_identical_keys_coalesce_to_one_evaluation(self):
+        flight = SingleFlight()
+        release = threading.Event()
+        computed_on = []
+
+        def compute():
+            computed_on.append(threading.current_thread().name)
+            release.wait(timeout=10)
+            return "answer:k1"
+
+        answers = []
+        callers = [
+            threading.Thread(
+                target=lambda: answers.append(flight.run("k1", compute)),
+                name=f"caller-{index}",
+            )
+            for index in range(2)
+        ]
+        callers[0].start()
+        _until(lambda: computed_on)
+        callers[1].start()
+        _until(lambda: flight.stats().submitted == 2)
+        release.set()
+        for caller in callers:
+            caller.join(timeout=10)
+        assert answers == ["answer:k1", "answer:k1"]
+        # The first caller computed on its own thread; the second waited.
+        assert computed_on == ["caller-0"]
+        stats = flight.stats()
+        assert (stats.submitted, stats.coalesced) == (2, 1)
+        # The key cleared once the outcome was delivered.
+        assert flight.run("k1", compute) == "answer:k1"
+        assert len(computed_on) == 2
+
+    def test_errors_stay_per_key(self):
+        flight = SingleFlight()
+        started = threading.Event()
+        release = threading.Event()
+
+        def fail():
+            started.set()
+            release.wait(timeout=10)
+            raise ValueError("bad")
+
+        failures = []
+
+        def run_bad():
+            try:
+                flight.run("bad", fail)
+            except ValueError as error:
+                failures.append(error)
+
+        bad = threading.Thread(target=run_bad)
+        bad.start()
+        assert started.wait(timeout=10)
+        # Another key computes while "bad" is in flight, untouched by it.
+        assert flight.run("good", lambda: "ok") == "ok"
+        release.set()
+        bad.join(timeout=10)
+        assert [str(error) for error in failures] == ["bad"]
+
+    def test_error_reaches_waiters_and_clears_the_key(self):
+        flight = SingleFlight()
         release = threading.Event()
         calls = []
 
-        def evaluate(group, items):
+        def boom():
+            calls.append(1)
             release.wait(timeout=10)
-            calls.append(list(items))
-            return [f"answer:{key}" for key, _ in items]
-
-        batcher = SingleFlightBatcher(evaluate)
-        try:
-            # Prime a slow first batch so later submissions stay pending.
-            blocker = batcher.submit("g", "warm", None)
-            time.sleep(0.05)
-            first = batcher.submit("g", "k1", None)
-            duplicate = batcher.submit("g", "k1", None)
-            assert duplicate is first
-            release.set()
-            assert first.result(timeout=10) == "answer:k1"
-            assert blocker.result(timeout=10) == "answer:warm"
-        finally:
-            batcher.close()
-        stats = batcher.stats()
-        assert stats.submitted == 3
-        assert stats.coalesced == 1
-        evaluated_keys = [key for batch in calls for key, _ in batch]
-        assert evaluated_keys.count("k1") == 1
-
-    def test_pending_requests_fold_into_one_batch(self):
-        release = threading.Event()
-        batches = []
-
-        def evaluate(group, items):
-            release.wait(timeout=10)
-            batches.append(len(items))
-            return [key for key, _ in items]
-
-        batcher = SingleFlightBatcher(evaluate)
-        try:
-            futures = [batcher.submit("g", f"k{i}", None) for i in range(6)]
-            release.set()
-            assert [future.result(timeout=10) for future in futures] == [
-                f"k{i}" for i in range(6)
-            ]
-        finally:
-            batcher.close()
-        # The first drain may catch 1 request; everything submitted while
-        # it waited folds into the next one.
-        assert max(batches) > 1
-        assert batcher.stats().largest_batch == max(batches)
-
-    def test_per_item_errors_stay_per_item(self):
-        def evaluate(group, items):
-            return [
-                ValueError("bad") if key == "bad" else "ok" for key, _ in items
-            ]
-
-        batcher = SingleFlightBatcher(evaluate)
-        try:
-            good = batcher.submit("g", "good", None)
-            bad = batcher.submit("g", "bad", None)
-            assert good.result(timeout=10) == "ok"
-            with pytest.raises(ValueError, match="bad"):
-                bad.result(timeout=10)
-        finally:
-            batcher.close()
-
-    def test_evaluator_raising_fails_the_batch_not_the_batcher(self):
-        def evaluate(group, items):
             raise RuntimeError("boom")
 
-        batcher = SingleFlightBatcher(evaluate)
-        try:
-            future = batcher.submit("g", "k", None)
-            with pytest.raises(RuntimeError, match="boom"):
-                future.result(timeout=10)
-            # The worker thread survives; the key was cleared from the
-            # in-flight table, so resubmission works (and fails again).
-            retry = batcher.submit("g", "k", None)
-            assert retry is not future
-            with pytest.raises(RuntimeError):
-                retry.result(timeout=10)
-        finally:
-            batcher.close()
+        outcomes = []
 
-    def test_submit_after_close_raises(self):
-        batcher = SingleFlightBatcher(lambda group, items: [None for _ in items])
-        batcher.close()
-        with pytest.raises(ConfigurationError, match="closed"):
-            batcher.submit("g", "k", None)
+        def caller():
+            try:
+                flight.run("k", boom, timeout=10)
+            except RuntimeError as error:
+                outcomes.append(str(error))
+
+        threads = [threading.Thread(target=caller) for _ in range(2)]
+        threads[0].start()
+        _until(lambda: calls)
+        threads[1].start()
+        _until(lambda: flight.stats().submitted == 2)
+        release.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert outcomes == ["boom", "boom"]
+        assert len(calls) == 1
+        # The key was cleared, so a retry computes again (and fails again).
+        with pytest.raises(RuntimeError, match="boom"):
+            flight.run("k", boom)
+        assert len(calls) == 2
+
+    def test_concurrent_callers_account_for_every_request(self):
+        flight = SingleFlight()
+        computed = []
+        lock = threading.Lock()
+
+        def compute_for(key):
+            def compute():
+                with lock:
+                    computed.append(key)
+                time.sleep(0.0005)
+                return key * 2
+            return compute
+
+        wrong = []
+
+        def caller(seed):
+            for index in range(200):
+                key = (seed + index) % 5
+                if flight.run(key, compute_for(key), timeout=10) != key * 2:
+                    wrong.append(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        stats = flight.stats()
+        assert stats.submitted == 8 * 200
+        assert stats.submitted - stats.coalesced == len(computed)
+
+    def test_waiter_timeout_does_not_interrupt_the_evaluation(self):
+        flight = SingleFlight()
+        release = threading.Event()
+        answers = []
+        leader = threading.Thread(
+            target=lambda: answers.append(
+                flight.run("k", lambda: release.wait(timeout=10) and "done")
+            )
+        )
+        leader.start()
+        _until(lambda: flight.stats().submitted == 1)
+        with pytest.raises(FutureTimeoutError):
+            flight.run("k", lambda: "never", timeout=0.05)
+        release.set()
+        leader.join(timeout=10)
+        assert answers == ["done"]
 
 
 # ----------------------------------------------------------------------
@@ -487,6 +558,73 @@ class TestReliabilityService:
         assert stats["service"]["requests"] == 1
         (engine_counters,) = stats["engines"]["karate"].values()
         assert "world_pools_evicted" in engine_counters
+
+    def test_query_repeated_in_a_batch_is_evaluated_once(self, catalog):
+        query = KTerminalQuery(terminals=(1, 34))
+        with ReliabilityService(catalog, cache=None) as service:
+            first, second = service.query_batch("karate", [query, query])
+            stats = service.stats()
+        assert stats["service"]["engine_evaluations"] == 1
+        assert stats["coalescer"]["submitted"] == 2
+        assert stats["coalescer"]["coalesced"] == 1
+        assert first["checksum"] == second["checksum"]
+
+    def test_delta_between_lookup_and_evaluation(self, config):
+        """A miss is cached under the fingerprint read when it evaluates."""
+        catalog = GraphCatalog(config)
+        catalog.register("karate", load_dataset("karate"))
+        delta = SetEdgeProbability(edge_id=7, probability=0.9)
+        query = KTerminalQuery(terminals=(1, 34))
+        stale = catalog.entry("karate").fingerprint
+        with ReliabilityService(catalog) as service:
+            lookup = service._lookup
+
+            def lookup_then_update(key):
+                payload, tier = lookup(key)
+                if payload is None:
+                    service.update("karate", delta)
+                return payload, tier
+
+            service._lookup = lookup_then_update
+            answer = service.query("karate", query)
+            current = catalog.entry("karate").fingerprint
+            config_fingerprint = catalog.config.fingerprint()
+            stale_entry = service.cache.get(
+                cache_key(stale, query.canonical_key(), config_fingerprint)
+            )
+            current_entry = service.cache.get(
+                cache_key(current, query.canonical_key(), config_fingerprint)
+            )
+        assert current != stale
+        assert answer["graph_fingerprint"] == current
+        reference = load_dataset("karate")
+        delta.apply(reference)
+        fresh = ReliabilityEngine(catalog.config).prepare(reference)
+        assert answer["checksum"] == results_checksum([fresh.query(query)])
+        assert stale_entry is None
+        assert current_entry["checksum"] == answer["checksum"]
+
+    def test_close_refuses_misses_but_serves_hits(self, catalog):
+        service = ReliabilityService(catalog)
+        hit = KTerminalQuery(terminals=(1, 34))
+        service.query("karate", hit)
+        service.close()
+        assert service.query("karate", hit)["cached"] is True
+        with pytest.raises(ConfigurationError, match="closed"):
+            service.query("karate", KTerminalQuery(terminals=(2, 30)))
+        with pytest.raises(ConfigurationError, match="closed"):
+            service.query_batch("karate", [KTerminalQuery(terminals=(2, 30))])
+
+    def test_timeout_bounds_the_wait_to_evaluate(self, catalog):
+        with ReliabilityService(catalog) as service:
+            with service._update_lock:  # an update in progress
+                with pytest.raises(TimeoutError):
+                    service.query(
+                        "karate", KTerminalQuery(terminals=(1, 34)), timeout=0.05
+                    )
+            # The timed-out key was cleared: the retry evaluates.
+            answer = service.query("karate", KTerminalQuery(terminals=(1, 34)))
+        assert answer["cached"] is False
 
 
 # ----------------------------------------------------------------------
