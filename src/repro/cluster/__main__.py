@@ -63,13 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="router bind port (0 for ephemeral; replicas always ephemeral)",
     )
     parser.add_argument(
-        "--route-by", choices=["query", "graph"], default="query",
-        help=(
-            "ring key granularity: per-query spreads one graph's load over "
-            "all replicas; per-graph pins each graph to one replica"
-        ),
-    )
-    parser.add_argument(
         "--shared-store",
         default=None,
         metavar="PATH",
@@ -217,9 +210,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             extra_args=extra_args or None,
         )
         supervisor.start()
-        router = Router(
-            supervisor, host=args.host, port=args.port, route_by=args.route_by
-        )
+        router = Router(supervisor, host=args.host, port=args.port)
         router.start_background()
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -227,7 +218,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     print(
         f"routing on http://{router.address} "
-        f"(replicas={args.replicas}, route_by={args.route_by}, "
+        f"(replicas={args.replicas}, "
         f"shared store={'off' if store_path is None else store_path}, "
         f"snapshot={args.snapshot_dir})",
         flush=True,

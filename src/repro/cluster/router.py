@@ -46,15 +46,21 @@ import asyncio
 import json
 import threading
 import time
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.engine.queries import query_from_dict
 from repro.exceptions import ClusterError
 from repro.cluster.ring import HashRing
 from repro.cluster.supervisor import ReplicaSupervisor
-from repro.obs import bridge, get_registry
-from repro.obs.metrics import MetricsRegistry, parse_prometheus_text
+from repro.obs import get_registry
+from repro.obs.metrics import (
+    MetricsRegistry,
+    Sample,
+    counter_field,
+    parse_prometheus_text,
+    stats_samples,
+)
 from repro.obs.trace import TRACE_HEADER, new_trace, parse_header
 from repro.service.frontend import (
     IO_TIMEOUT,
@@ -64,22 +70,42 @@ from repro.service.frontend import (
     read_head,
 )
 
-__all__ = ["Router", "RouterStats"]
+__all__ = ["Router", "RouterStats", "router_samples"]
 
 
 @dataclass
 class RouterStats:
     """Forwarding counters of one :class:`Router`."""
 
-    requests: int = 0
-    forwarded: int = 0
-    failovers: int = 0
-    errors: int = 0
-    no_replica: int = 0
-    updates: int = 0
+    requests: int = counter_field("Requests the router parsed, 404s and 405s included.")
+    forwarded: int = counter_field(
+        "Forwards a replica answered (each replica of an update broadcast counts)."
+    )
+    failovers: int = counter_field(
+        "Forwards that failed in transport and moved to the next replica."
+    )
+    errors: int = counter_field(
+        "Requests that failed: a handler raised, an update broadcast failed, "
+        "or every replica failed."
+    )
+    no_replica: int = counter_field("Requests that found no live replica.")
+    updates: int = counter_field("Graph deltas every live replica applied.")
 
-    def to_dict(self) -> Dict[str, int]:
-        return asdict(self)
+
+def router_samples(stats: RouterStats, restarts: Mapping[str, int]) -> List[Sample]:
+    """The router's own ``/metrics`` samples: its counters plus respawns."""
+    samples = stats_samples("repro_router", stats)
+    for member in sorted(restarts):
+        samples.append(
+            (
+                "repro_replica_restarts_total",
+                "counter",
+                "Replica respawns performed by the supervisor.",
+                {"replica": str(member)},
+                float(restarts[member]),
+            )
+        )
+    return samples
 
 
 class Router(HttpFrontEnd):
@@ -93,11 +119,6 @@ class Router(HttpFrontEnd):
         ports) never move keys.
     host / port:
         The router's own bind address (``port=0`` for ephemeral).
-    route_by:
-        ``"query"`` (default) keys the ring by graph fingerprint *and*
-        query canonical key; ``"graph"`` by fingerprint alone, pinning
-        each graph wholly to one replica (useful when per-graph engine
-        state dwarfs the query mix).
     forward_timeout:
         Seconds one forwarded request may take end to end.
     registry:
@@ -115,16 +136,10 @@ class Router(HttpFrontEnd):
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        route_by: str = "query",
         forward_timeout: float = 300.0,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        if route_by not in ("query", "graph"):
-            raise ClusterError(
-                f"route_by must be 'query' or 'graph', got {route_by!r}"
-            )
         self._supervisor = supervisor
-        self._route_by = route_by
         self._forward_timeout = forward_timeout
         self._registry = registry if registry is not None else get_registry()
         self._ring = HashRing(supervisor.keys())
@@ -153,7 +168,7 @@ class Router(HttpFrontEnd):
     def stats(self) -> RouterStats:
         """An independent snapshot of the router's forwarding counters."""
         with self._stats_lock:
-            return RouterStats(**asdict(self._stats))
+            return replace(self._stats)
 
     async def _dispatch(
         self, method: str, path: str, body: bytes, headers: Dict[str, str]
@@ -175,8 +190,6 @@ class Router(HttpFrontEnd):
     def routing_key(self, graph: str, query_payload: Any) -> str:
         """The ring key of one query (public so tests can predict owners)."""
         fingerprint = self._fingerprints.get(graph, graph)
-        if self._route_by == "graph":
-            return fingerprint
         try:
             canonical = query_from_dict(query_payload).canonical_key()
         except Exception:
@@ -631,11 +644,10 @@ class Router(HttpFrontEnd):
             for field in totals:
                 totals[field] += int(service.get(field, 0))
         return 200, {
-            "router": self.stats().to_dict(),
+            "router": asdict(self.stats()),
             "totals": totals,
             "replicas": dict(sorted(per_replica.items())),
             "restarts": restarts,
-            "route_by": self._route_by,
         }
 
     async def _aggregate_metrics(
@@ -671,9 +683,7 @@ class Router(HttpFrontEnd):
         await asyncio.gather(
             *(_scrape(member, endpoint) for member, endpoint in live.items())
         )
-        extra: List[bridge.Sample] = bridge.router_samples(
-            self.stats().to_dict(), self._supervisor.restart_counts()
-        )
+        extra = router_samples(self.stats(), self._supervisor.restart_counts())
         for member in sorted(scraped):
             samples, types, helps = scraped[member]
             for name, labels, value in samples:

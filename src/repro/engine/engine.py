@@ -54,6 +54,7 @@ from repro.graph.compiled import (
     refresh_compiled_probabilities,
 )
 from repro.graph.components import GraphDecomposition, decompose_graph
+from repro.obs.metrics import counter_field
 from repro.obs.trace import span
 from repro.utils.rng import resolve_rng
 from repro.utils.validation import check_positive_int
@@ -78,95 +79,84 @@ _MAX_POOLS_PER_GRAPH = 8
 class EngineStats:
     """Instrumentation counters of one :class:`ReliabilityEngine` session.
 
-    Attributes
-    ----------
-    decompositions_computed:
-        How many 2-edge-connected decompositions the engine computed
-        (including recomputations forced by a topology change).  Serving
-        many queries on one prepared graph keeps this at 1 — the
-        amortization the paper's precomputed index is about.
-    decomposition_cache_hits:
-        How often a query or ``prepare()`` call found its graph's
-        decomposition already cached and still valid.
-    queries_served:
-        Total number of reliability queries answered (``estimate`` calls
-        and typed ``query`` dispatches alike).
-    world_pools_built:
-        How many possible-world pools were sampled (cache misses plus
-        pools built from caller-supplied generators).
-    world_pool_hits:
-        How often a sampling-driven query found its world pool already
-        cached — each hit is a full resampling pass avoided.
-    worlds_sampled:
-        Total possible worlds drawn across all pool builds.
-    world_pools_evicted:
-        How many cached pools were dropped because a graph exceeded its
-        retention bound (8 pools per graph).  A seed- or budget-sweeping
-        workload that keeps evicting is resampling worlds it could have
-        reused — this counter makes that churn visible.
-    graphs_compiled:
-        How many times ``prepare()`` compiled a graph into its flat-int
-        kernel form (:class:`~repro.graph.compiled.CompiledGraph`),
-        including recompilations forced by a topology or probability
-        change.  Like the decomposition, serving many queries on one
-        prepared graph keeps this at 1: compile once, evaluate many.
-    compiled_cache_hits:
-        How often ``prepare()`` found the graph's compiled form already
-        cached and current.
-    deltas_applied:
-        How many typed graph deltas :meth:`ReliabilityEngine.apply_delta`
-        applied (a batched :class:`~repro.engine.deltas.GraphDelta`
-        counts once, however many operations it holds).
-    incremental_prepares:
-        How many re-prepares after a delta took the probability-only fast
-        path: the 2ECC decomposition index and the compiled CSR topology
-        survived, only the probability column and world pools refreshed.
-    full_prepares:
-        How many re-prepares after a delta had to rebuild everything
-        because the topology changed.  A monitoring workload that mostly
-        re-weights edges should see this stay near zero.
-    pools_invalidated:
-        How many cached world pools were dropped by delta re-prepares.
-        Every delta class invalidates pools (sampled worlds bake in the
-        probabilities), so this roughly tracks ``deltas_applied`` times
-        the pools cached per graph.
-    s2bdds_built:
-        How many S²BDD diagrams the s2bdd backend constructed from
-        scratch.  A repeated-terminal-set workload should see this stay
-        near the number of *distinct* subproblems, with the rest answered
-        from the constructed-diagram cache.
-    s2bdd_cache_hits:
-        How often an s2bdd query reused a cached constructed diagram
-        as-is (identical subproblem, terminals, config, and edge
-        probabilities).  Each hit skips the construction sweep entirely.
-    s2bdd_resweeps:
-        How often a probability-only change was absorbed by re-sweeping a
-        cached diagram's arc structure with the new probabilities instead
-        of rebuilding it — the dynamic-graph fast path for constructed
-        S²BDDs (see :class:`~repro.engine.diagrams.DiagramCache`).
-    s2bdd_cache_evictions:
-        How many cached constructed diagrams were dropped — by the LRU
-        retention bound, by a topology delta on their owning graph, or by
-        an explicit cache reset.
+    Every field is a cumulative counter; its declared help documents it
+    and is the ``# HELP`` line of its ``repro_engine_<field>_total``
+    series on ``/metrics``.  Serving many queries on one prepared graph
+    keeps ``decompositions_computed`` and ``graphs_compiled`` at 1 — the
+    amortization the paper's precomputed index is about — and a
+    repeated-terminal-set workload keeps ``s2bdds_built`` near the number
+    of *distinct* subproblems, answering the rest from the
+    constructed-diagram cache (:class:`~repro.engine.diagrams.DiagramCache`).
+    A monitoring workload that mostly re-weights edges should see
+    ``full_prepares`` stay near zero, and a seed- or budget-sweeping one
+    that keeps raising ``world_pools_evicted`` is resampling worlds it
+    could have reused.
     """
 
-    decompositions_computed: int = 0
-    decomposition_cache_hits: int = 0
-    queries_served: int = 0
-    world_pools_built: int = 0
-    world_pool_hits: int = 0
-    worlds_sampled: int = 0
-    world_pools_evicted: int = 0
-    graphs_compiled: int = 0
-    compiled_cache_hits: int = 0
-    deltas_applied: int = 0
-    incremental_prepares: int = 0
-    full_prepares: int = 0
-    pools_invalidated: int = 0
-    s2bdds_built: int = 0
-    s2bdd_cache_hits: int = 0
-    s2bdd_resweeps: int = 0
-    s2bdd_cache_evictions: int = 0
+    decompositions_computed: int = counter_field(
+        "2-edge-connected decompositions computed, recomputations after "
+        "a topology change included."
+    )
+    decomposition_cache_hits: int = counter_field(
+        "Queries and prepare() calls that found their graph's decomposition "
+        "cached and still valid."
+    )
+    queries_served: int = counter_field(
+        "Reliability queries answered (estimate calls and typed query "
+        "dispatches alike)."
+    )
+    world_pools_built: int = counter_field(
+        "Possible-world pools sampled (cache misses plus pools built from "
+        "caller-supplied generators)."
+    )
+    world_pool_hits: int = counter_field(
+        "Sampling-driven queries that found their world pool cached, each "
+        "a resampling pass avoided."
+    )
+    worlds_sampled: int = counter_field(
+        "Possible worlds drawn across all pool builds."
+    )
+    world_pools_evicted: int = counter_field(
+        "Cached world pools dropped by the retention bound of 8 pools per "
+        "graph."
+    )
+    graphs_compiled: int = counter_field(
+        "Compilations of a graph into its flat-int kernel form, "
+        "recompilations after a topology or probability change included."
+    )
+    compiled_cache_hits: int = counter_field(
+        "prepare() calls that found the graph's compiled form cached and "
+        "current."
+    )
+    deltas_applied: int = counter_field(
+        "Typed graph deltas applied (a batched GraphDelta counts once)."
+    )
+    incremental_prepares: int = counter_field(
+        "Re-prepares after a delta that took the probability-only fast "
+        "path, keeping the decomposition and the compiled topology."
+    )
+    full_prepares: int = counter_field(
+        "Re-prepares after a delta that rebuilt everything because the "
+        "topology changed."
+    )
+    pools_invalidated: int = counter_field(
+        "Cached world pools dropped by delta re-prepares."
+    )
+    s2bdds_built: int = counter_field(
+        "S2BDD diagrams the s2bdd backend constructed from scratch."
+    )
+    s2bdd_cache_hits: int = counter_field(
+        "s2bdd queries that reused a cached constructed diagram as is, "
+        "skipping the construction sweep."
+    )
+    s2bdd_resweeps: int = counter_field(
+        "Probability-only changes absorbed by re-sweeping a cached "
+        "diagram's arcs with the new probabilities instead of rebuilding it."
+    )
+    s2bdd_cache_evictions: int = counter_field(
+        "Cached constructed diagrams dropped by the LRU bound, a topology "
+        "delta on their graph, or a cache reset."
+    )
 
 
 @dataclass(frozen=True)

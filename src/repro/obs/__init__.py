@@ -4,17 +4,21 @@ Three pieces (see the submodules for detail):
 
 * :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry` of
   counters, gauges, and fixed-bucket histograms, exported as JSON or
-  Prometheus text;
+  Prometheus text, plus the field declarations of the per-instance stats
+  dataclasses (``counter_field`` / ``gauge_field``) and
+  ``stats_samples``, which renders a declared snapshot as samples;
 * :mod:`repro.obs.trace` — :class:`Trace`/:class:`Span` request tracing
   over contextvars, propagated across HTTP hops via ``X-Repro-Trace``,
   plus the :class:`SlowQueryLog`;
-* :mod:`repro.obs.bridge` — scrape-time bridges from the legacy stats
-  dataclasses into metric samples, keeping ``/stats`` and ``/metrics``
-  in perfect agreement.
+* :mod:`repro.obs.cli` — the ``repro-obs`` snapshot viewer and differ.
 
-The process-global default registry (:func:`get_registry`) is what the
-engine, kernel, and service record into and what ``GET /metrics``
-renders; tests build private :class:`MetricsRegistry` instances instead.
+The process-global default registry (:func:`get_registry`) holds the
+process-wide instruments (HTTP latency and responses, router latency,
+S²BDD construction time) and is what ``GET /metrics`` renders.  The
+per-instance counters ``/stats`` serves (engine, caches, coalescer,
+service, admission, router) stay on their owners' dataclasses, and
+both endpoints read them through the same field declarations.  Tests
+build private :class:`MetricsRegistry` instances.
 """
 
 from __future__ import annotations

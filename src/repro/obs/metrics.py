@@ -11,6 +11,14 @@ label dimensions.  It exports in two shapes:
   served by ``GET /metrics`` on the service server and the cluster
   router.
 
+The per-instance counters of the stats dataclasses (``EngineStats``,
+``CacheStats``, ...) are not registry instruments: each of their fields
+declares its metric kind and help through :func:`counter_field` or
+:func:`gauge_field`, ``/stats`` serves them through
+:func:`dataclasses.asdict`, and :func:`stats_samples` turns the same
+snapshot into the extra samples :meth:`MetricsRegistry.render` appends,
+so both endpoints read one declaration.
+
 Design constraints, in order:
 
 * **Cheap.**  Recording is one lock acquire plus a dict update (a bisect
@@ -29,6 +37,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from bisect import bisect_left
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -40,7 +49,11 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "PROMETHEUS_CONTENT_TYPE",
+    "Sample",
+    "counter_field",
+    "gauge_field",
     "parse_prometheus_text",
+    "stats_samples",
 ]
 
 #: The content type ``GET /metrics`` answers with (text exposition 0.0.4).
@@ -55,6 +68,41 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 )
 
 LabelValues = Tuple[str, ...]
+
+#: One externally collected series: ``(name, type, help, labels, value)``.
+Sample = Tuple[str, str, str, Mapping[str, str], float]
+
+
+def counter_field(help: str) -> Any:
+    """A stats dataclass ``int`` field exported as a counter (``_total``)."""
+    return dataclasses.field(default=0, metadata={"metric": ("counter", help)})
+
+
+def gauge_field(help: str) -> Any:
+    """A stats dataclass field exported as a point-in-time gauge."""
+    return dataclasses.field(default=0, metadata={"metric": ("gauge", help)})
+
+
+def stats_samples(
+    prefix: str, snapshot: Any, labels: Optional[Mapping[str, str]] = None
+) -> List[Sample]:
+    """The samples of one stats dataclass snapshot, one per declared field.
+
+    Field ``name`` becomes the series ``<prefix>_<name>``, with the
+    ``_total`` suffix counters carry; the kind and help come from the
+    field's :func:`counter_field` / :func:`gauge_field` declaration, and
+    a field declaring neither raises :class:`KeyError`.
+    """
+    labels = dict(labels or {})
+    samples: List[Sample] = []
+    for field in dataclasses.fields(snapshot):
+        kind, help = field.metadata["metric"]
+        name = f"{prefix}_{field.name}"
+        if kind == "counter" and not name.endswith("_total"):
+            name += "_total"
+        value = float(getattr(snapshot, field.name))
+        samples.append((name, kind, help, labels, value))
+    return samples
 
 
 def _escape_label(value: str) -> str:
@@ -382,13 +430,14 @@ class MetricsRegistry:
             }
         return snapshot
 
-    def render(self, extra_samples: Iterable[Tuple[str, str, str, Mapping[str, str], float]] = ()) -> str:
+    def render(self, extra_samples: Iterable[Sample] = ()) -> str:
         """The Prometheus text exposition of every metric.
 
         ``extra_samples`` appends externally collected series — tuples of
         ``(name, type, help, labels, value)`` — grouped by name after the
-        registry's own metrics.  The stats bridges use it to expose the
-        legacy counter dataclasses without registering hot-path hooks.
+        registry's own metrics: the stats dataclasses' declared counters
+        (see :func:`stats_samples`) and, on the router, the series it
+        scraped from its replicas.
         """
         lines: List[str] = []
         for metric in self._sorted_metrics():

@@ -36,12 +36,15 @@ import logging
 import threading
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional
+
+from repro.obs.metrics import counter_field
 
 __all__ = [
     "Span",
     "SlowQueryLog",
+    "SlowQueryStats",
     "TRACE_HEADER",
     "Trace",
     "activate",
@@ -272,6 +275,13 @@ def format_header(trace: Trace) -> str:
     return trace.trace_id
 
 
+@dataclass
+class SlowQueryStats:
+    """Counters of one :class:`SlowQueryLog`."""
+
+    total: int = counter_field("Served queries slower than the slow-query threshold.")
+
+
 class SlowQueryLog:
     """Log queries slower than a threshold, keeping the last few around.
 
@@ -292,7 +302,7 @@ class SlowQueryLog:
         self._keep = keep
         self._lock = threading.Lock()
         self._recent: List[Dict[str, Any]] = []
-        self._total = 0
+        self._stats = SlowQueryStats()
         self._logger = logging.getLogger("repro.obs.slowquery")
 
     def record(
@@ -315,7 +325,7 @@ class SlowQueryLog:
             "trace_id": trace_id,
         }
         with self._lock:
-            self._total += 1
+            self._stats.total += 1
             self._recent.append(entry)
             if len(self._recent) > self._keep:
                 del self._recent[0]
@@ -334,6 +344,11 @@ class SlowQueryLog:
         with self._lock:
             return {
                 "threshold_seconds": self.threshold_seconds,
-                "total": self._total,
+                "total": self._stats.total,
                 "recent": list(self._recent),
             }
+
+    def stats(self) -> SlowQueryStats:
+        """An independent snapshot of the slow-query counter."""
+        with self._lock:
+            return replace(self._stats)

@@ -25,10 +25,11 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
+from repro.obs.metrics import counter_field, gauge_field
 from repro.utils.validation import check_positive_int
 
 __all__ = ["CacheStats", "ResultCache", "cache_key"]
@@ -50,43 +51,31 @@ def cache_key(
 class CacheStats:
     """Counters of one :class:`ResultCache`.
 
-    ``hits`` / ``misses`` count lookups; ``evictions`` counts entries
-    dropped by the LRU bound, ``expirations`` entries dropped because
-    their TTL lapsed — with ``bytes_evicted`` / ``bytes_expired``
-    accumulating the payload bytes those drops released, so cache churn
-    is measurable (a high ``bytes_evicted`` rate under a low hit rate
-    means the byte budget is too small for the working set).
-    ``invalidations`` counts entries dropped by scoped invalidation
-    (:meth:`ResultCache.invalidate_graph` after a graph update, or
-    :meth:`ResultCache.invalidate_all`), with ``bytes_invalidated``
-    accumulating the payload bytes released — same convention as
-    ``bytes_evicted``.  ``current_bytes`` / ``entries`` describe the live
-    content; ``max_bytes`` the configured budget.
+    A high ``bytes_evicted`` rate under a low ``hit_rate`` means the byte
+    budget is too small for the working set.
     """
 
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    evictions: int = 0
-    expirations: int = 0
-    invalidations: int = 0
-    bytes_evicted: int = 0
-    bytes_expired: int = 0
-    bytes_invalidated: int = 0
-    current_bytes: int = 0
-    entries: int = 0
-    max_bytes: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 when nothing was looked up yet)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload = asdict(self)
-        payload["hit_rate"] = round(self.hit_rate, 6)
-        return payload
+    hits: int = counter_field("Result-cache lookups that hit.")
+    misses: int = counter_field("Result-cache lookups that missed.")
+    stores: int = counter_field("Payloads written into the result cache.")
+    evictions: int = counter_field("Result-cache entries dropped by the LRU bound.")
+    expirations: int = counter_field(
+        "Result-cache entries dropped because their TTL lapsed."
+    )
+    invalidations: int = counter_field(
+        "Result-cache entries dropped by scoped invalidation after a graph "
+        "update, or by a full flush."
+    )
+    bytes_evicted: int = counter_field("Payload bytes released by LRU evictions.")
+    bytes_expired: int = counter_field("Payload bytes released by TTL expirations.")
+    bytes_invalidated: int = counter_field("Payload bytes released by invalidations.")
+    current_bytes: int = gauge_field("Payload bytes the result cache holds now.")
+    entries: int = gauge_field("Entries the result cache holds now.")
+    max_bytes: int = gauge_field("The result cache's configured byte budget.")
+    hit_rate: float = gauge_field(
+        "Result-cache hits over lookups, rounded to 6 places (0 before the "
+        "first lookup)."
+    )
 
 
 class _Entry:
@@ -256,5 +245,9 @@ class ResultCache:
     def stats(self) -> CacheStats:
         """An independent snapshot of the cache counters."""
         with self._lock:
-            self._stats.entries = len(self._entries)
-            return CacheStats(**asdict(self._stats))
+            lookups = self._stats.hits + self._stats.misses
+            return replace(
+                self._stats,
+                entries=len(self._entries),
+                hit_rate=round(self._stats.hits / lookups if lookups else 0.0, 6),
+            )

@@ -33,7 +33,8 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 from repro.datasets import load_dataset
 from repro.engine.config import EstimatorConfig
 from repro.engine.deltas import DeltaOp, as_graph_delta
-from repro.engine.engine import ReliabilityEngine
+from repro.engine.engine import EngineStats, ReliabilityEngine
+from repro.engine.registry import backend_factory
 from repro.exceptions import ConfigurationError
 from repro.graph.io import read_edge_list
 from repro.graph.uncertain_graph import UncertainGraph
@@ -180,6 +181,9 @@ class GraphCatalog:
 
     def __init__(self, config: Optional[EstimatorConfig] = None) -> None:
         self._config = self._normalize_config(config or EstimatorConfig())
+        # Resolve the (lazily imported) backend now, so the first request
+        # served does not pay for importing it outside any trace span.
+        backend_factory(self._config.backend)
         self._entries: Dict[str, CatalogEntry] = {}
         self._engines: Dict[Tuple[str, str], ReliabilityEngine] = {}
         self._lock = threading.Lock()
@@ -430,17 +434,16 @@ class GraphCatalog:
             entries = list(self._entries.values())
         return [entry.describe() for entry in entries]
 
-    def engine_stats(self) -> Dict[str, Dict[str, Dict[str, int]]]:
-        """Per-graph, per-config engine counters (the ``/stats`` payload).
+    def engine_stats(self) -> Dict[str, Dict[str, EngineStats]]:
+        """Per-graph, per-config engine counter snapshots.
 
-        Shape: ``{graph name: {config fingerprint: EngineStats dict}}``,
-        including the ``world_pools_evicted`` counter.
+        Shape: ``{graph name: {config fingerprint: EngineStats}}`` — what
+        ``/stats`` serves under ``"engines"`` and ``/metrics`` labels
+        ``graph`` and ``fingerprint``.
         """
-        import dataclasses
-
         with self._lock:
             engines = dict(self._engines)
-        stats: Dict[str, Dict[str, Dict[str, int]]] = {}
+        stats: Dict[str, Dict[str, EngineStats]] = {}
         for (name, config_key), engine in engines.items():
-            stats.setdefault(name, {})[config_key] = dataclasses.asdict(engine.stats)
+            stats.setdefault(name, {})[config_key] = dataclasses.replace(engine.stats)
         return stats

@@ -16,25 +16,22 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Hashable, Optional
+
+from repro.obs.metrics import counter_field
 
 __all__ = ["CoalesceStats", "SingleFlight"]
 
 
 @dataclass
 class CoalesceStats:
-    """Counters of one :class:`SingleFlight`.
+    """Counters of one :class:`SingleFlight`."""
 
-    ``submitted`` counts every request handed to :meth:`SingleFlight.run`;
-    ``coalesced`` the subset answered by another request's computation.
-    """
-
-    submitted: int = 0
-    coalesced: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        return asdict(self)
+    submitted: int = counter_field("Requests handed to the single-flight coalescer.")
+    coalesced: int = counter_field(
+        "Requests answered by another identical request's computation."
+    )
 
 
 class SingleFlight:
@@ -88,4 +85,4 @@ class SingleFlight:
     def stats(self) -> CoalesceStats:
         """An independent snapshot of the coalescing counters."""
         with self._lock:
-            return CoalesceStats(**asdict(self._stats))
+            return replace(self._stats)

@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import copy
 import threading
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.engine.deltas import DeltaOp
 from repro.engine.queries import Query, query_from_dict, results_checksum
 from repro.exceptions import ConfigurationError, UpdateRejectedError
+from repro.obs.metrics import Sample, counter_field, stats_samples
 from repro.obs.trace import SlowQueryLog, current_trace, span
 from repro.service.cache import ResultCache, cache_key
 from repro.service.catalog import GraphCatalog
@@ -56,22 +57,19 @@ _DEFAULT_CACHE = object()
 class ServiceStats:
     """Request-level counters of one :class:`ReliabilityService`.
 
-    ``engine_evaluations`` counts queries the engine actually computed —
-    the number the cache and the coalescer exist to minimize; the
-    benchmark's ≥2× reduction gate compares it between cache-on and
-    cache-off runs of the same workload.  ``updates_applied`` counts
-    graph deltas applied through :meth:`ReliabilityService.update`.
+    ``engine_evaluations`` is the number the cache and the coalescer
+    exist to minimize; the benchmark's ≥2× reduction gate compares it
+    between cache-on and cache-off runs of the same workload.
     """
 
-    requests: int = 0
-    cache_hits: int = 0
-    shared_store_hits: int = 0
-    engine_evaluations: int = 0
-    updates_applied: int = 0
-    errors: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        return asdict(self)
+    requests: int = counter_field("Requests accepted by the serving core.")
+    cache_hits: int = counter_field("Requests answered from a cache tier.")
+    shared_store_hits: int = counter_field(
+        "Requests answered from the shared sqlite tier."
+    )
+    engine_evaluations: int = counter_field("Queries the engine actually computed.")
+    updates_applied: int = counter_field("Graph deltas applied through /update.")
+    errors: int = counter_field("Requests that raised.")
 
 
 class ReliabilityService:
@@ -154,21 +152,51 @@ class ReliabilityService:
     def stats(self) -> Dict[str, Any]:
         """The aggregated ``/stats`` payload: service, cache, coalescer,
         per-graph engine counters (including ``world_pools_evicted``)."""
-        with self._stats_lock:
-            service = self._stats.to_dict()
-        payload = {
-            "service": service,
-            "cache": self._cache.stats().to_dict() if self._cache is not None else None,
-            "shared_store": (
-                self._store.stats().to_dict() if self._store is not None else None
-            ),
-            "coalescer": self._flight.stats().to_dict(),
-            "engines": self._catalog.engine_stats(),
-            "config_fingerprint": self._config_fingerprint,
+        payload: Dict[str, Any] = {
+            section: asdict(snapshot) if snapshot is not None else None
+            for section, _, snapshot in self._snapshots()
         }
+        payload["engines"] = {
+            graph: {config: asdict(counters) for config, counters in configs.items()}
+            for graph, configs in self._catalog.engine_stats().items()
+        }
+        payload["config_fingerprint"] = self._config_fingerprint
         if self._slow_query_log is not None:
             payload["slow_queries"] = self._slow_query_log.snapshot()
         return payload
+
+    def metric_samples(self) -> List[Sample]:
+        """The ``/metrics`` samples of the same counters :meth:`stats` serves.
+
+        Engine series carry ``graph`` and ``fingerprint`` (the engine's
+        config fingerprint) labels.
+        """
+        samples: List[Sample] = []
+        for _, prefix, snapshot in self._snapshots():
+            if snapshot is not None:
+                samples += stats_samples(prefix, snapshot)
+        engines = self._catalog.engine_stats()
+        for graph in sorted(engines):
+            for config in sorted(engines[graph]):
+                labels = {"graph": graph, "fingerprint": config}
+                samples += stats_samples("repro_engine", engines[graph][config], labels)
+        if self._slow_query_log is not None:
+            samples += stats_samples("repro_slow_queries", self._slow_query_log.stats())
+        return samples
+
+    def _snapshots(self) -> List[Tuple[str, str, Any]]:
+        """``(/stats section, metric prefix, snapshot)`` per counter family;
+        a disabled cache tier's snapshot is ``None``."""
+        with self._stats_lock:
+            service = replace(self._stats)
+        cache = self._cache.stats() if self._cache is not None else None
+        store = self._store.stats() if self._store is not None else None
+        return [
+            ("service", "repro_service", service),
+            ("cache", "repro_cache", cache),
+            ("shared_store", "repro_store", store),
+            ("coalescer", "repro_coalesce", self._flight.stats()),
+        ]
 
     def describe_graphs(self) -> List[Dict[str, Any]]:
         """The ``/graphs`` payload."""

@@ -11,7 +11,7 @@ endpoints, all speaking the existing wire formats
 ``GET /graphs``            the catalog: names, fingerprints, versions
 ``GET /stats``             service + cache + coalescer + engine counters
 ``GET /metrics``           Prometheus text exposition (registry + the
-                           ``/stats`` families via :mod:`repro.obs.bridge`)
+                           declared ``/stats`` counters)
 ``POST /query``            ``{"graph": name, "query": Query.to_dict()}``
 ``POST /query_batch``      ``{"graph": name, "queries": [...]}``
 ``POST /update``           ``{"graph": name, "delta": DeltaOp.to_dict()}``
@@ -40,13 +40,13 @@ from __future__ import annotations
 import asyncio
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Any, Dict, Optional, Tuple
 
 from repro.exceptions import ConfigurationError, ReproError, UpdateRejectedError
-from repro.obs import bridge, get_registry
-from repro.obs.metrics import MetricsRegistry
+from repro.obs import get_registry
+from repro.obs.metrics import MetricsRegistry, counter_field, gauge_field, stats_samples
 from repro.obs.trace import TRACE_HEADER, new_trace, parse_header, run_with_trace
 from repro.service.core import ReliabilityService
 from repro.service.frontend import MAX_BODY_BYTES, HttpFrontEnd, Response, json_object
@@ -59,12 +59,13 @@ __all__ = ["AdmissionStats", "MAX_BODY_BYTES", "ServiceServer"]
 class AdmissionStats:
     """Admission-control counters of one :class:`ServiceServer`."""
 
-    accepted: int = 0
-    rejected: int = 0
-    peak_pending: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        return asdict(self)
+    accepted: int = counter_field("Requests admitted to the evaluation pool.")
+    rejected: int = counter_field("Requests shed with 429 by admission control.")
+    peak_pending: int = gauge_field("Most requests ever admitted at once.")
+    pending: int = gauge_field("Requests admitted and not yet answered.")
+    max_pending: int = gauge_field(
+        "Admission bound: evaluation threads plus the wait queue."
+    )
 
 
 class ServiceServer(HttpFrontEnd):
@@ -90,9 +91,10 @@ class ServiceServer(HttpFrontEnd):
         The :class:`~repro.obs.metrics.MetricsRegistry` backing
         ``GET /metrics``; defaults to the process-global one.  The
         server records per-path request latencies and response counts
-        into it; the legacy ``/stats`` families are bridged in at scrape
-        time (see :mod:`repro.obs.bridge`), so both endpoints always
-        agree.
+        into it; the counters ``/stats`` serves are appended at scrape
+        time from the same declared snapshots (see
+        :func:`~repro.obs.metrics.stats_samples`), so both endpoints
+        always agree.
     """
 
     _not_started_error = ConfigurationError
@@ -113,13 +115,11 @@ class ServiceServer(HttpFrontEnd):
         if queue_limit < 0:
             raise ConfigurationError(f"queue_limit must be >= 0, got {queue_limit}")
         self._service = service
-        self._max_pending = max_inflight + queue_limit
         self._request_timeout = request_timeout
         self._executor = ThreadPoolExecutor(
             max_workers=max_inflight, thread_name_prefix="repro-serve"
         )
-        self._admission = AdmissionStats()
-        self._pending = 0
+        self._admission = AdmissionStats(max_pending=max_inflight + queue_limit)
         self._admission_lock = threading.Lock()
         self._registry = registry if registry is not None else get_registry()
         super().__init__(
@@ -162,26 +162,18 @@ class ServiceServer(HttpFrontEnd):
 
     async def _stats(self, body: bytes, headers: Dict[str, str]) -> Response:
         stats = self._service.stats()
-        stats["admission"] = self._admission_snapshot()
+        stats["admission"] = asdict(self._admission_snapshot())
         return 200, stats
 
     async def _metrics(self, body: bytes, headers: Dict[str, str]) -> Response:
-        """The ``GET /metrics`` text: registry + bridged ``/stats`` families.
-
-        Bridging happens here, at scrape time, from the same snapshots
-        ``/stats`` serves — the legacy counter dataclasses keep their APIs
-        and the two endpoints cannot drift apart.
-        """
-        samples = bridge.service_samples(self._service.stats())
-        samples += bridge.admission_samples(self._admission_snapshot())
+        """The ``GET /metrics`` text: registry + the ``/stats`` counters."""
+        samples = self._service.metric_samples()
+        samples += stats_samples("repro_admission", self._admission_snapshot())
         return 200, self._registry.render(extra_samples=samples)
 
-    def _admission_snapshot(self) -> Dict[str, int]:
+    def _admission_snapshot(self) -> AdmissionStats:
         with self._admission_lock:
-            snapshot = self._admission.to_dict()
-            snapshot["pending"] = self._pending
-            snapshot["max_pending"] = self._max_pending
-        return snapshot
+            return replace(self._admission)
 
     def _try_admit(self) -> Optional[Tuple[int, Dict[str, Any]]]:
         """Claim an admission slot; the 429 response when none is free.
@@ -191,22 +183,21 @@ class ServiceServer(HttpFrontEnd):
         caller must balance a successful claim with :meth:`_release`.
         """
         with self._admission_lock:
-            if self._pending >= self._max_pending:
-                self._admission.rejected += 1
+            admission = self._admission
+            if admission.pending >= admission.max_pending:
+                admission.rejected += 1
                 return 429, {
                     "error": "service overloaded; retry later",
-                    "pending": self._pending,
+                    "pending": admission.pending,
                 }
-            self._pending += 1
-            self._admission.accepted += 1
-            self._admission.peak_pending = max(
-                self._admission.peak_pending, self._pending
-            )
+            admission.pending += 1
+            admission.accepted += 1
+            admission.peak_pending = max(admission.peak_pending, admission.pending)
         return None
 
     def _release(self) -> None:
         with self._admission_lock:
-            self._pending -= 1
+            self._admission.pending -= 1
 
     async def _handle_query(
         self, path: str, body: bytes, headers: Dict[str, str]

@@ -31,9 +31,10 @@ import json
 import sqlite3
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
+from repro.obs.metrics import counter_field, gauge_field
 from repro.service.cache import CacheKey
 
 __all__ = ["SharedResultStore", "StoreStats"]
@@ -45,28 +46,23 @@ class StoreStats:
 
     Counters are per-handle (this process's view), not global across
     replicas — aggregate over ``/stats`` of every replica for the cluster
-    picture.  ``errors`` counts operations that degraded to a miss or a
-    dropped write; ``invalidations`` counts rows deleted by scoped
-    invalidation after a graph update (the delete is global to the file,
-    but only the handle that performed it counts it).
+    picture.  An invalidation's delete is global to the file, but only
+    the handle that performed it counts it.
     """
 
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    errors: int = 0
-    invalidations: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 when nothing was looked up yet)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload = asdict(self)
-        payload["hit_rate"] = round(self.hit_rate, 6)
-        return payload
+    hits: int = counter_field("Shared-store lookups that hit.")
+    misses: int = counter_field("Shared-store lookups that missed.")
+    stores: int = counter_field("Payloads written into the shared store.")
+    errors: int = counter_field(
+        "Shared-store operations that degraded to a miss or a dropped write."
+    )
+    invalidations: int = counter_field(
+        "Shared-store rows deleted by scoped invalidation after a graph update."
+    )
+    hit_rate: float = gauge_field(
+        "Shared-store hits over lookups, rounded to 6 places (0 before the "
+        "first lookup)."
+    )
 
 
 class SharedResultStore:
@@ -274,7 +270,11 @@ class SharedResultStore:
     def stats(self) -> StoreStats:
         """An independent snapshot of this handle's counters."""
         with self._lock:
-            return StoreStats(**asdict(self._stats))
+            lookups = self._stats.hits + self._stats.misses
+            return replace(
+                self._stats,
+                hit_rate=round(self._stats.hits / lookups if lookups else 0.0, 6),
+            )
 
     def close(self) -> None:
         """Close the underlying connection (later operations degrade to miss)."""

@@ -3,20 +3,23 @@
 Bottom up: histogram bucket math (including the ``+Inf`` overflow
 bucket), registry declaration and thread-safety under concurrent
 recording, Prometheus text round-trips, trace/span mechanics and the
-``X-Repro-Trace`` header, the slow-query log, the stats bridges, the
-service's opt-in ``timings`` section, the ``repro-obs`` CLI, and — end
+``X-Repro-Trace`` header, the slow-query log, the declared stats fields
+and the samples both endpoints render from them, the service's opt-in
+``timings`` section, the ``repro-obs`` CLI, and — end
 to end — trace-header propagation across a live router → replica hop
 plus the router's aggregated ``/metrics``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
 
 from repro.datasets import load_dataset
-from repro.engine import EstimatorConfig
+from repro.engine import EngineStats, EstimatorConfig
+from repro.engine.deltas import SetEdgeProbability
 from repro.engine.queries import KTerminalQuery
 from repro.obs import (
     MetricsRegistry,
@@ -30,15 +33,22 @@ from repro.obs import (
     span,
 )
 from repro.obs import trace as trace_mod
-from repro.obs.bridge import router_samples, service_samples
 from repro.obs.cli import main as obs_cli
+from repro.obs.metrics import stats_samples
+from repro.obs.trace import SlowQueryStats
 from repro.cluster import ClusterClient, ReplicaSupervisor, Router
+from repro.cluster.router import RouterStats, router_samples
 from repro.service import (
     GraphCatalog,
     ReliabilityService,
     ServiceClient,
     ServiceServer,
 )
+from repro.service.cache import CacheStats
+from repro.service.coalesce import CoalesceStats
+from repro.service.core import ServiceStats
+from repro.service.server import AdmissionStats
+from repro.service.store import SharedResultStore, StoreStats
 
 
 # ----------------------------------------------------------------------
@@ -292,46 +302,107 @@ class TestSlowQueryLog:
 
 
 # ----------------------------------------------------------------------
-# The stats bridges
+# Declared stats fields and their samples
 # ----------------------------------------------------------------------
-class TestBridges:
-    def test_service_samples_cover_every_family(self):
-        stats = {
-            "service": {"requests": 10, "cache_hits": 4, "errors": 0},
-            "cache": {"hits": 4, "misses": 6, "hit_rate": 0.4},
-            "coalescer": {"submitted": 3, "coalesced": 1},
-            "engines": {"karate": {"queries": 6}},
-        }
-        samples = service_samples(stats)
-        by_name = {name: (labels, value) for name, _, _, labels, value in samples}
-        assert by_name["repro_service_requests_total"][1] == 10.0
-        assert by_name["repro_cache_hit_rate"][1] == 0.4
-        assert by_name["repro_cache_hits_total"][1] == 4.0
-        assert by_name["repro_coalesce_coalesced_total"][1] == 1.0
-        assert by_name["repro_engine_queries_total"][0] == {"graph": "karate"}
-        kinds = {name: kind for name, kind, _, _, _ in samples}
-        assert kinds["repro_cache_hit_rate"] == "gauge"
-        assert kinds["repro_cache_hits_total"] == "counter"
+STATS_CLASSES = (
+    EngineStats,
+    CacheStats,
+    StoreStats,
+    CoalesceStats,
+    ServiceStats,
+    AdmissionStats,
+    RouterStats,
+    SlowQueryStats,
+)
+
+
+class TestStatsSamples:
+    @pytest.mark.parametrize("cls", STATS_CLASSES, ids=lambda cls: cls.__name__)
+    def test_every_stats_field_declares_kind_and_help(self, cls):
+        for field in dataclasses.fields(cls):
+            kind, help = field.metadata["metric"]
+            assert kind in ("counter", "gauge"), (cls.__name__, field.name)
+            assert help.strip(), (cls.__name__, field.name)
 
     def test_cache_byte_budget_is_a_gauge(self):
-        samples = service_samples({"cache": {"max_bytes": 1024, "current_bytes": 0}})
+        samples = stats_samples("repro_cache", CacheStats(max_bytes=1024))
         kinds = {name: (kind, value) for name, kind, _, _, value in samples}
         assert kinds["repro_cache_max_bytes"] == ("gauge", 1024.0)
         assert "repro_cache_max_bytes_total" not in kinds
 
-    def test_service_samples_accept_fingerprint_nested_engines(self):
-        # The live shape: catalog.engine_stats() nests one counter dict
-        # per engine fingerprint under each graph name.
-        stats = {
-            "service": {},
-            "engines": {
-                "karate": {
-                    "abc123": {"queries_served": 5},
-                    "def456": {"queries_served": 2},
-                }
-            },
+    def test_router_samples_label_respawns_per_replica(self):
+        samples = router_samples(
+            RouterStats(forwarded=12),
+            {"replica-1": 2, "replica-0": 0},
+        )
+        restarts = {
+            labels["replica"]: value
+            for name, _, _, labels, value in samples
+            if name == "repro_replica_restarts_total"
         }
-        samples = service_samples(stats)
+        assert restarts == {"replica-0": 0.0, "replica-1": 2.0}
+        values = {name: value for name, _, _, _, value in samples}
+        assert values["repro_router_forwarded_total"] == 12.0
+
+
+def _fresh_service() -> ReliabilityService:
+    catalog = GraphCatalog(EstimatorConfig(backend="sampling", samples=200, rng=7))
+    catalog.register("karate", load_dataset("karate"))
+    return ReliabilityService(catalog)
+
+
+class TestBridges:
+    """``ReliabilityService.metric_samples``: the live stats snapshots, as samples."""
+
+    def test_service_samples_cover_every_family(self):
+        query = KTerminalQuery(terminals=(11, 24))
+        with _fresh_service() as service:
+            service.query("karate", query)
+            service.query("karate", query)
+            samples = service.metric_samples()
+            fingerprint = service.catalog.config.fingerprint()
+        by_name = {name: (labels, value) for name, _, _, labels, value in samples}
+        # One miss then one hit: every family's counters are exact.
+        assert by_name["repro_service_requests_total"][1] == 2.0
+        assert by_name["repro_service_cache_hits_total"][1] == 1.0
+        assert by_name["repro_service_engine_evaluations_total"][1] == 1.0
+        assert by_name["repro_cache_hits_total"][1] == 1.0
+        assert by_name["repro_cache_misses_total"][1] == 1.0
+        assert by_name["repro_cache_hit_rate"][1] == 0.5
+        assert by_name["repro_coalesce_submitted_total"][1] == 1.0
+        assert by_name["repro_coalesce_coalesced_total"][1] == 0.0
+        assert by_name["repro_engine_queries_served_total"] == (
+            {"graph": "karate", "fingerprint": fingerprint},
+            1.0,
+        )
+        kinds = {name: kind for name, kind, _, _, _ in samples}
+        assert kinds["repro_cache_hit_rate"] == "gauge"
+        assert kinds["repro_cache_hits_total"] == "counter"
+        assert kinds["repro_coalesce_coalesced_total"] == "counter"
+        for prefix, cls in (
+            ("repro_service", ServiceStats),
+            ("repro_cache", CacheStats),
+            ("repro_coalesce", CoalesceStats),
+            ("repro_engine", EngineStats),
+        ):
+            declared = {name for name, _, _, _, _ in stats_samples(prefix, cls())}
+            assert declared <= set(kinds), prefix
+
+    def test_service_samples_accept_fingerprint_nested_engines(self, monkeypatch):
+        # The live shape: catalog.engine_stats() nests one EngineStats per
+        # engine fingerprint under each graph name.
+        with _fresh_service() as service:
+            monkeypatch.setattr(
+                service.catalog,
+                "engine_stats",
+                lambda: {
+                    "karate": {
+                        "abc123": EngineStats(queries_served=5),
+                        "def456": EngineStats(queries_served=2),
+                    }
+                },
+            )
+            samples = service.metric_samples()
         served = {
             labels["fingerprint"]: value
             for name, _, _, labels, value in samples
@@ -343,20 +414,6 @@ class TestBridges:
             for name, _, _, labels, _ in samples
             if name.startswith("repro_engine_")
         )
-
-    def test_router_samples_label_respawns_per_replica(self):
-        samples = router_samples(
-            {"forwarded": 12, "retries": 1},
-            {"replica-1": 2, "replica-0": 0},
-        )
-        restarts = {
-            labels["replica"]: value
-            for name, _, _, labels, value in samples
-            if name == "repro_replica_restarts_total"
-        }
-        assert restarts == {"replica-0": 0.0, "replica-1": 2.0}
-        names = {name for name, _, _, _, _ in samples}
-        assert "repro_router_forwarded_total" in names
 
 
 # ----------------------------------------------------------------------
@@ -481,6 +538,146 @@ class TestServerMetrics:
 
 
 # ----------------------------------------------------------------------
+# The /metrics family table of a server with both cache tiers
+# ----------------------------------------------------------------------
+_ENGINE = ("fingerprint", "graph")
+
+#: ``(name, # TYPE, label names)`` of every family the service's
+#: ``/metrics`` serves after ``tiered_server``'s workload.  Series names,
+#: types and labels are what scrapers and dashboards key on, so any
+#: change to this table is a breaking change to the endpoint.
+SERVICE_FAMILIES = [
+    ("repro_admission_accepted_total", "counter", ()),
+    ("repro_admission_max_pending", "gauge", ()),
+    ("repro_admission_peak_pending", "gauge", ()),
+    ("repro_admission_pending", "gauge", ()),
+    ("repro_admission_rejected_total", "counter", ()),
+    ("repro_cache_bytes_evicted_total", "counter", ()),
+    ("repro_cache_bytes_expired_total", "counter", ()),
+    ("repro_cache_bytes_invalidated_total", "counter", ()),
+    ("repro_cache_current_bytes", "gauge", ()),
+    ("repro_cache_entries", "gauge", ()),
+    ("repro_cache_evictions_total", "counter", ()),
+    ("repro_cache_expirations_total", "counter", ()),
+    ("repro_cache_hit_rate", "gauge", ()),
+    ("repro_cache_hits_total", "counter", ()),
+    ("repro_cache_invalidations_total", "counter", ()),
+    ("repro_cache_max_bytes", "gauge", ()),
+    ("repro_cache_misses_total", "counter", ()),
+    ("repro_cache_stores_total", "counter", ()),
+    ("repro_coalesce_coalesced_total", "counter", ()),
+    ("repro_coalesce_submitted_total", "counter", ()),
+    ("repro_engine_compiled_cache_hits_total", "counter", _ENGINE),
+    ("repro_engine_decomposition_cache_hits_total", "counter", _ENGINE),
+    ("repro_engine_decompositions_computed_total", "counter", _ENGINE),
+    ("repro_engine_deltas_applied_total", "counter", _ENGINE),
+    ("repro_engine_full_prepares_total", "counter", _ENGINE),
+    ("repro_engine_graphs_compiled_total", "counter", _ENGINE),
+    ("repro_engine_incremental_prepares_total", "counter", _ENGINE),
+    ("repro_engine_pools_invalidated_total", "counter", _ENGINE),
+    ("repro_engine_queries_served_total", "counter", _ENGINE),
+    ("repro_engine_s2bdd_cache_evictions_total", "counter", _ENGINE),
+    ("repro_engine_s2bdd_cache_hits_total", "counter", _ENGINE),
+    ("repro_engine_s2bdd_resweeps_total", "counter", _ENGINE),
+    ("repro_engine_s2bdds_built_total", "counter", _ENGINE),
+    ("repro_engine_world_pool_hits_total", "counter", _ENGINE),
+    ("repro_engine_world_pools_built_total", "counter", _ENGINE),
+    ("repro_engine_world_pools_evicted_total", "counter", _ENGINE),
+    ("repro_engine_worlds_sampled_total", "counter", _ENGINE),
+    ("repro_http_request_seconds", "histogram", ("path",)),
+    ("repro_http_responses_total", "counter", ("path", "status")),
+    ("repro_service_cache_hits_total", "counter", ()),
+    ("repro_service_engine_evaluations_total", "counter", ()),
+    ("repro_service_errors_total", "counter", ()),
+    ("repro_service_requests_total", "counter", ()),
+    ("repro_service_shared_store_hits_total", "counter", ()),
+    ("repro_service_updates_applied_total", "counter", ()),
+    ("repro_store_errors_total", "counter", ()),
+    ("repro_store_hit_rate", "gauge", ()),
+    ("repro_store_hits_total", "counter", ()),
+    ("repro_store_invalidations_total", "counter", ()),
+    ("repro_store_misses_total", "counter", ()),
+    ("repro_store_stores_total", "counter", ()),
+]
+
+
+def _family_table(text):
+    samples, types, _ = parse_prometheus_text(text)
+    labels = {name: set() for name in types}
+    for name, sample_labels, _ in samples:
+        # Histogram series (_bucket/_sum/_count) belong to their family.
+        family = name if name in types else name.rsplit("_", 1)[0]
+        labels[family] |= set(sample_labels) - {"le"}
+    return sorted((name, types[name], tuple(sorted(labels[name]))) for name in types)
+
+
+def _assert_typed_and_helped(text):
+    samples, types, helps = parse_prometheus_text(text)
+    assert types
+    assert set(helps) == set(types)
+    assert all(helps[name].strip() for name in types), helps
+    for name, _, _ in samples:
+        assert name in types or name.rsplit("_", 1)[0] in types, name
+
+
+@pytest.fixture(scope="module")
+def tiered_server(tmp_path_factory):
+    """A server with the memory cache and a shared store, after six
+    queries (one repeat before and two after a delta) and one delta."""
+    catalog = GraphCatalog(EstimatorConfig(backend="sampling", samples=200, rng=7))
+    catalog.register("karate", load_dataset("karate"))
+    store = SharedResultStore(str(tmp_path_factory.mktemp("tiered") / "store.sqlite"))
+    service = ReliabilityService(catalog, store=store)
+    server = ServiceServer(service, port=0, registry=MetricsRegistry()).start_background()
+    client = ServiceClient("127.0.0.1", server.port)
+    for terminals in ((1, 34), (2, 30), (1, 34), (3, 20)):
+        client.query("karate", KTerminalQuery(terminals=terminals))
+    client.update("karate", SetEdgeProbability(0, 0.5))
+    for terminals in ((1, 34), (2, 30)):
+        client.query("karate", KTerminalQuery(terminals=terminals))
+    yield client
+    server.close()
+    service.close()
+    store.close()
+
+
+class TestServiceMetricFamilies:
+    def test_family_table_is_pinned(self, tiered_server):
+        assert _family_table(tiered_server.metrics()) == SERVICE_FAMILIES
+
+    def test_every_family_has_type_and_help(self, tiered_server):
+        _assert_typed_and_helped(tiered_server.metrics())
+
+    def test_counters_match_stats(self, tiered_server):
+        samples, _, _ = parse_prometheus_text(tiered_server.metrics())
+        values = {name: value for name, labels, value in samples if not labels}
+        stats = tiered_server.stats()
+        assert values["repro_service_requests_total"] == stats["service"]["requests"] == 6
+        assert values["repro_cache_hit_rate"] == stats["cache"]["hit_rate"]
+        assert values["repro_store_misses_total"] == stats["shared_store"]["misses"]
+        assert values["repro_admission_max_pending"] == stats["admission"]["max_pending"]
+
+    def test_slow_query_count_is_exported(self):
+        catalog = GraphCatalog(EstimatorConfig(backend="sampling", samples=200, rng=7))
+        catalog.register("karate", load_dataset("karate"))
+        service = ReliabilityService(catalog, slow_query_log=SlowQueryLog(1e-9))
+        server = ServiceServer(service, port=0, registry=MetricsRegistry()).start_background()
+        try:
+            client = ServiceClient("127.0.0.1", server.port)
+            client.query("karate", KTerminalQuery(terminals=(1, 34)))
+            samples, types, _ = parse_prometheus_text(client.metrics())
+            total = client.stats()["slow_queries"]["total"]
+        finally:
+            server.close()
+            service.close()
+        assert total == 1
+        assert types["repro_slow_queries_total"] == "counter"
+        assert [
+            value for name, _, value in samples if name == "repro_slow_queries_total"
+        ] == [float(total)]
+
+
+# ----------------------------------------------------------------------
 # Cross-hop tracing and aggregated /metrics over a live cluster
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -553,6 +750,12 @@ class TestClusterObservability:
             if name == "repro_replica_restarts_total"
         }
         assert restarts == set(supervisor.keys())
+
+    def test_router_metrics_families_have_type_and_help(self, obs_cluster):
+        _, router = obs_cluster
+        client = ClusterClient(port=router.port)
+        client.query("karate", KTerminalQuery(terminals=(5, 26)))
+        _assert_typed_and_helped(client.metrics())
 
     def test_aggregated_stats_attribute_each_replica(self, obs_cluster):
         supervisor, router = obs_cluster

@@ -10,6 +10,8 @@ mapping, and 429 admission control.
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -128,13 +130,35 @@ class TestGraphCatalog:
         cat.unregister("karate")
         assert cat.names() == []
 
+    def test_catalog_imports_its_backend_at_boot(self):
+        # A fresh interpreter: this one imported the backends long ago.
+        probe = (
+            "import sys\n"
+            "from repro.engine import EstimatorConfig\n"
+            "from repro.service import GraphCatalog\n"
+            "GraphCatalog(EstimatorConfig(backend='sampling'))\n"
+            "print('repro.engine.backends' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "True"
+
     def test_engine_stats_exposed_per_config(self, catalog):
         engine = catalog.engine("karate")
         engine.query(KTerminalQuery(terminals=(1, 34)))
         stats = catalog.engine_stats()["karate"]
         (counters,) = stats.values()
-        assert counters["queries_served"] == 1
-        assert "world_pools_evicted" in counters
+        assert counters.queries_served == 1
+        assert counters.world_pools_evicted == 0
 
 
 # ----------------------------------------------------------------------
@@ -794,7 +818,7 @@ class TestHttpEndToEnd:
             assert statuses.count(200) == 1
             assert statuses.count(429) == 3
             stats = server._admission_snapshot()
-            assert stats["rejected"] == 3
-            assert stats["accepted"] == 1
+            assert stats.rejected == 3
+            assert stats.accepted == 1
         finally:
             server.close()
