@@ -13,6 +13,9 @@ Two questions, each with a hard gate:
   through the consistent-hash router at 1, 2, and 4 replicas, and does
   every response — router, failover, shared tier and all — still carry
   the checksum of a direct ``engine.query(q, seed_index=0)`` evaluation?
+  Each level starts ``python -m repro.cluster`` as a child process, so
+  the router runs in its own process as in production, not under the
+  client threads' interpreter lock.
   Parity is always gated.  The ≥ ``--min-speedup`` two-replica speedup
   (default 1.8×) is gated **only on multicore hosts** — shared-nothing
   processes cannot beat one process on one core, so single-CPU runs
@@ -34,14 +37,18 @@ import argparse
 import json
 import os
 import platform
+import re
 import shutil
+import signal
+import subprocess
 import sys
 import tempfile
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster import ClusterClient, ReplicaSupervisor, Router
+import repro
+from repro.cluster import ClusterClient
 from repro.datasets import load_dataset
 from repro.engine import EstimatorConfig, ReliabilityEngine, results_checksum
 from repro.engine.queries import Query
@@ -139,23 +146,23 @@ def replay(
     results_lock = threading.Lock()
 
     def worker() -> None:
-        client = ClusterClient("127.0.0.1", port)
-        while True:
-            with cursor_lock:
-                index = next(cursor, None)
-            if index is None:
-                return
-            started = time.perf_counter()
-            try:
-                response = client.query(dataset, queries[index])
-            except Exception:
+        with ClusterClient("127.0.0.1", port) as client:
+            while True:
+                with cursor_lock:
+                    index = next(cursor, None)
+                if index is None:
+                    return
+                started = time.perf_counter()
+                try:
+                    response = client.query(dataset, queries[index])
+                except Exception:
+                    with results_lock:
+                        errors[0] += 1
+                    continue
+                elapsed = time.perf_counter() - started
                 with results_lock:
-                    errors[0] += 1
-                continue
-            elapsed = time.perf_counter() - started
-            with results_lock:
-                latencies.append(elapsed)
-                observations.append((index, response.checksum))
+                    latencies.append(elapsed)
+                    observations.append((index, response.checksum))
 
     threads = [threading.Thread(target=worker) for _ in range(clients)]
     started = time.perf_counter()
@@ -164,6 +171,62 @@ def replay(
     for thread in threads:
         thread.join()
     return time.perf_counter() - started, latencies, observations, errors[0]
+
+
+def start_cluster(
+    snapshot_dir: str, store_path: Optional[str], replicas: int
+) -> Tuple[subprocess.Popen, int]:
+    """Start ``python -m repro.cluster`` over the snapshot; ``(process, port)``.
+
+    Returns once the router answers ``/healthz`` with every replica up.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    process = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cluster", "--port", "0",
+            "--snapshot-dir", snapshot_dir, "--replicas", str(replicas),
+            "--shared-store", store_path if store_path is not None else "none",
+        ],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        stdin=subprocess.DEVNULL,
+        text=True,
+    )
+    # The banner is a few lines, so the pipe never fills while unread.
+    match = re.search(r"http://[^:]+:(\d+)", process.stdout.readline())
+    if match is None:
+        stop_cluster(process)
+        raise RuntimeError("the cluster process printed no address")
+    port = int(match.group(1))
+    deadline = time.monotonic() + 120.0
+    with ClusterClient("127.0.0.1", port, max_retries=0) as client:
+        while True:
+            try:
+                if client.healthz().get("healthy") == replicas:
+                    return process, port
+            except Exception:
+                pass
+            if time.monotonic() > deadline or process.poll() is not None:
+                stop_cluster(process)
+                raise RuntimeError("the cluster never became healthy")
+            time.sleep(0.05)
+
+
+def stop_cluster(process: subprocess.Popen) -> None:
+    """SIGTERM the cluster (router and, through it, its replicas) and wait."""
+    if process.poll() is None:
+        process.send_signal(signal.SIGTERM)
+        try:
+            process.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait()
+    process.stdout.close()
 
 
 def run_cluster_level(
@@ -177,21 +240,15 @@ def run_cluster_level(
     clients: int,
 ) -> Dict:
     """One replica count: launch, replay, gather stats, tear down."""
-    supervisor = ReplicaSupervisor(
-        snapshot_dir, replicas=replicas, shared_store=store_path
-    )
-    supervisor.start()
-    router = Router(supervisor, port=0)
-    router.start_background()
+    process, port = start_cluster(snapshot_dir, store_path, replicas)
     try:
         seconds, latencies, observations, errors = replay(
-            router.port, dataset, queries, stream, clients
+            port, dataset, queries, stream, clients
         )
-        client = ClusterClient("127.0.0.1", router.port)
-        stats = client.stats()
+        with ClusterClient("127.0.0.1", port) as client:
+            stats = client.stats()
     finally:
-        router.close()
-        supervisor.stop()
+        stop_cluster(process)
     mismatches = sum(
         1 for index, checksum in observations if checksum != expected[index]
     )

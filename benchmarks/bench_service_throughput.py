@@ -110,23 +110,23 @@ def replay(
     results_lock = threading.Lock()
 
     def worker() -> None:
-        client = ServiceClient("127.0.0.1", port)
-        while True:
-            with cursor_lock:
-                index = next(cursor, None)
-            if index is None:
-                return
-            started = time.perf_counter()
-            try:
-                response = client.query(dataset, queries[index])
-            except Exception:
+        with ServiceClient("127.0.0.1", port) as client:
+            while True:
+                with cursor_lock:
+                    index = next(cursor, None)
+                if index is None:
+                    return
+                started = time.perf_counter()
+                try:
+                    response = client.query(dataset, queries[index])
+                except Exception:
+                    with results_lock:
+                        errors[0] += 1
+                    continue
+                elapsed = time.perf_counter() - started
                 with results_lock:
-                    errors[0] += 1
-                continue
-            elapsed = time.perf_counter() - started
-            with results_lock:
-                latencies.append(elapsed)
-                observations.append((index, response.checksum))
+                    latencies.append(elapsed)
+                    observations.append((index, response.checksum))
 
     threads = [threading.Thread(target=worker) for _ in range(clients)]
     started = time.perf_counter()

@@ -31,6 +31,15 @@ of them did (replicas launched without ``--allow-updates`` answer 403,
 surfacing the read-only default).  A successful update drops the learned
 fingerprint map so routing keys re-learn the new content fingerprint.
 
+Connections to replicas are kept alive, in a small idle pool per replica
+endpoint.  A pooled connection that fails before any response byte (the
+replica closed it while idle) is replaced once by a fresh connection —
+the replica is fine, so that is neither a failover nor a failure report.
+Updates always go out on a fresh connection and are never sent twice.
+An untraced ``/query`` answer is relayed as the replica's bytes, with
+only ``"served_by"`` appended to the JSON object, instead of being
+decoded and encoded again.
+
 Observability: an ``X-Repro-Trace`` header (or a ``"timings": true``
 request field) rides through to the owning replica, so one trace id
 spans router → replica → engine and the replica's ``timings`` section
@@ -69,6 +78,13 @@ from repro.service.frontend import (
     json_object,
     read_head,
 )
+
+#: One open connection to a replica.
+_Connection = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
+
+
+class _Unanswered(ConnectionError):
+    """A connection failed before any byte of the response arrived."""
 
 __all__ = ["Router", "RouterStats", "router_samples"]
 
@@ -146,6 +162,8 @@ class Router(HttpFrontEnd):
         self._stats = RouterStats()
         self._stats_lock = threading.Lock()
         self._fingerprints: Dict[str, str] = {}
+        # Kept-alive connections per replica endpoint (loop thread only).
+        self._idle: Dict[str, List[_Connection]] = {}
         super().__init__(
             {
                 "/healthz": ("GET", self._aggregate_healthz),
@@ -169,6 +187,12 @@ class Router(HttpFrontEnd):
         """An independent snapshot of the router's forwarding counters."""
         with self._stats_lock:
             return replace(self._stats)
+
+    async def _shutdown(self) -> None:
+        """Close client connections, then every pooled replica connection."""
+        await super()._shutdown()
+        for endpoint in list(self._idle):
+            await self._drop_pool(endpoint)
 
     async def _dispatch(
         self, method: str, path: str, body: bytes, headers: Dict[str, str]
@@ -209,10 +233,10 @@ class Router(HttpFrontEnd):
         # identical whichever one does.
         for key, endpoint in self._supervisor.live_endpoints().items():  # reprolint: ok(ORD001)
             try:
-                status, payload = await self._http_request(
-                    endpoint, "GET", "/graphs"
+                status, payload = _decoded(
+                    await self._http_request(endpoint, "GET", "/graphs")
                 )
-            except (OSError, asyncio.TimeoutError):
+            except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError):
                 continue
             if status == 200:
                 self._fingerprints = {
@@ -242,12 +266,14 @@ class Router(HttpFrontEnd):
             if (trace_id or bool(payload.get("timings")))
             else None
         )
-        extra_headers = {TRACE_HEADER: trace.trace_id} if trace is not None else None
+        if trace is None:
+            # Untraced: relay the replica's bytes as they came.
+            return await self._forward_keyed("POST", "/query", body, key, relay=True)
         started = time.perf_counter()
         status, answer = await self._forward_keyed(
-            "POST", "/query", body, key, extra_headers=extra_headers
+            "POST", "/query", body, key, extra_headers={TRACE_HEADER: trace.trace_id}
         )
-        if trace is not None and isinstance(answer, dict):
+        if isinstance(answer, dict):
             timings = answer.get("timings")
             if isinstance(timings, dict):
                 # The replica built its trace from the forwarded id; add
@@ -368,9 +394,16 @@ class Router(HttpFrontEnd):
 
         async def _apply(member: str, endpoint: str) -> None:
             try:
-                status, answer = await asyncio.wait_for(
-                    self._http_request(endpoint, "POST", "/update", body),
-                    self._forward_timeout,
+                # A fresh connection: a delta must never be sent twice,
+                # so it cannot ride a pooled connection that may have
+                # gone stale.
+                status, answer = _decoded(
+                    await asyncio.wait_for(
+                        self._http_request(
+                            endpoint, "POST", "/update", body, pooled=False
+                        ),
+                        self._forward_timeout,
+                    )
                 )
             except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError) as error:
                 self._supervisor.notify_failure(member)
@@ -434,7 +467,8 @@ class Router(HttpFrontEnd):
         key: str,
         *,
         extra_headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, Dict[str, Any]]:
+        relay: bool = False,
+    ) -> Response:
         try:
             first = self._preferred_live(key)[0]
         except ClusterError as error:
@@ -442,7 +476,7 @@ class Router(HttpFrontEnd):
                 self._stats.no_replica += 1
             return 503, {"error": str(error)}
         return await self._forward_with_failover(
-            method, path, body, first=first, extra_headers=extra_headers
+            method, path, body, first=first, extra_headers=extra_headers, relay=relay
         )
 
     async def _forward_with_failover(
@@ -453,12 +487,15 @@ class Router(HttpFrontEnd):
         *,
         first: str,
         extra_headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, Dict[str, Any]]:
+        relay: bool = False,
+    ) -> Response:
         """Forward to ``first``, then down the live member list on failure.
 
         Only transport-level failures (connect/read errors, timeouts)
         fail over — an HTTP error status is the replica's *answer* and is
         passed through; retrying a 400 elsewhere would just repeat it.
+        The answer carries ``"served_by"``; with ``relay`` it comes back
+        as the replica's JSON bytes with that one field appended.
         """
         live = self._supervisor.live_endpoints()
         members = [first] + [key for key in sorted(live) if key != first]
@@ -468,7 +505,7 @@ class Router(HttpFrontEnd):
             if endpoint is None:
                 continue
             try:
-                status, payload = await asyncio.wait_for(
+                status, blob = await asyncio.wait_for(
                     self._http_request(
                         endpoint, method, path, body, extra_headers=extra_headers
                     ),
@@ -477,12 +514,16 @@ class Router(HttpFrontEnd):
             except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError) as error:
                 last_error = error
                 self._supervisor.notify_failure(member)
+                await self._drop_pool(endpoint)
                 with self._stats_lock:
                     self._stats.failovers += 1
                 live = self._supervisor.live_endpoints()
                 continue
             with self._stats_lock:
                 self._stats.forwarded += 1
+            if relay and blob.startswith(b"{") and blob.endswith(b"}"):
+                return status, _with_served_by(blob, member)
+            payload = _json_payload(blob)
             if isinstance(payload, dict):
                 payload.setdefault("served_by", member)
             return status, payload
@@ -511,52 +552,98 @@ class Router(HttpFrontEnd):
         body: bytes = b"",
         *,
         extra_headers: Optional[Dict[str, str]] = None,
-        raw: bool = False,
-    ) -> Tuple[int, Any]:
-        """One HTTP exchange with a replica (single-request connection).
+        pooled: bool = True,
+    ) -> Tuple[int, bytes]:
+        """One HTTP exchange with a replica: its status and body bytes.
 
-        With ``raw`` the response body comes back as decoded text instead
-        of parsed JSON — the ``/metrics`` scrape path, where the replica
-        answers Prometheus text.
+        Runs on an idle kept-alive connection to ``endpoint`` when there
+        is one, and puts the connection back after a complete response.
+        A pooled connection that fails before any response byte is
+        replaced by a fresh connection and the request sent once more;
+        that is not a failover.  ``pooled=False`` uses a fresh
+        connection only and never sends the request twice.
         """
+        if pooled:
+            idle = self._idle.get(endpoint)
+            while idle:
+                connection = idle.pop()
+                reader, writer = connection
+                if reader.at_eof() or writer.is_closing():
+                    writer.close()  # the replica closed it while idle
+                    continue
+                try:
+                    return await self._exchange(
+                        endpoint, connection, method, path, body, extra_headers
+                    )
+                except _Unanswered:
+                    break
         host, _, port = endpoint.rpartition(":")
-        reader, writer = await asyncio.open_connection(host, int(port))
-        try:
-            lines = [
-                f"{method} {path} HTTP/1.1",
-                f"Host: {endpoint}",
-                "Connection: close",
-            ]
-            for name, value in (extra_headers or {}).items():
-                lines.append(f"{name}: {value}")
-            if body:
-                lines += [
-                    "Content-Type: application/json",
-                    f"Content-Length: {len(body)}",
-                ]
-            writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body)
-            await writer.drain()
+        connection = await asyncio.open_connection(host, int(port))
+        return await self._exchange(
+            endpoint, connection, method, path, body, extra_headers, pooled=pooled
+        )
 
-            status_line, response_headers = await read_head(reader)
+    async def _exchange(
+        self,
+        endpoint: str,
+        connection: _Connection,
+        method: str,
+        path: str,
+        body: bytes,
+        extra_headers: Optional[Dict[str, str]],
+        *,
+        pooled: bool = True,
+    ) -> Tuple[int, bytes]:
+        """Send one request on ``connection`` and read its response.
+
+        Raises :class:`_Unanswered` when the connection failed before any
+        response byte.  The connection is closed on any failure, and
+        pooled again after a complete response unless the replica (or
+        ``pooled=False``) closes it.
+        """
+        reader, writer = connection
+        lines = [f"{method} {path} HTTP/1.1", f"Host: {endpoint}"]
+        if not pooled:
+            lines.append("Connection: close")
+        for name, value in (extra_headers or {}).items():
+            lines.append(f"{name}: {value}")
+        if body:
+            lines += [
+                "Content-Type: application/json",
+                f"Content-Length: {len(body)}",
+            ]
+        try:
+            try:
+                writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body)
+                await writer.drain()
+                first_line = await reader.readline()
+            except ConnectionError as error:
+                raise _Unanswered(str(error)) from error
+            if not first_line:
+                raise _Unanswered("connection closed before the response")
+            status_line, response_headers = await read_head(reader, first_line)
             parts = status_line.split(None, 2)
             if len(parts) < 2 or not parts[1].isdigit():
                 raise ConnectionError(f"bad status line {status_line!r}")
-            status = int(parts[1])
             content_length = int(response_headers.get("content-length", 0))
             blob = await reader.readexactly(content_length) if content_length else b""
-            if raw:
-                return status, blob.decode("utf-8", "replace")
-            try:
-                payload = json.loads(blob.decode("utf-8"))
-            except ValueError:
-                payload = {"error": blob.decode("utf-8", "replace")}
-            return status, payload
-        finally:
+        except BaseException:
             writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
+            raise
+        if pooled and response_headers.get("connection", "").lower() != "close":
+            self._idle.setdefault(endpoint, []).append(connection)
+        else:
+            writer.close()
+        return int(parts[1]), blob
+
+    async def _drop_pool(self, endpoint: str) -> None:
+        """Close every idle connection to ``endpoint``."""
+        writers = [writer for _, writer in self._idle.pop(endpoint, [])]
+        for writer in writers:
+            writer.close()
+        await asyncio.gather(
+            *(writer.wait_closed() for writer in writers), return_exceptions=True
+        )
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -569,13 +656,15 @@ class Router(HttpFrontEnd):
 
         async def _probe(member: str, endpoint: str) -> None:
             try:
-                status, payload = await asyncio.wait_for(
-                    self._http_request(endpoint, "GET", "/healthz"), IO_TIMEOUT
+                status, payload = _decoded(
+                    await asyncio.wait_for(
+                        self._http_request(endpoint, "GET", "/healthz"), IO_TIMEOUT
+                    )
                 )
                 replicas[member] = payload if status == 200 else {
                     "status": f"error {status}"
                 }
-            except (OSError, asyncio.TimeoutError, ConnectionError):
+            except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError):
                 replicas[member] = {"status": "unreachable"}
 
         await asyncio.gather(
@@ -609,14 +698,16 @@ class Router(HttpFrontEnd):
                 "restarts": int(restarts.get(member, 0)),
             }
             try:
-                status, payload = await asyncio.wait_for(
-                    self._http_request(endpoint, "GET", "/stats"), IO_TIMEOUT
+                status, payload = _decoded(
+                    await asyncio.wait_for(
+                        self._http_request(endpoint, "GET", "/stats"), IO_TIMEOUT
+                    )
                 )
                 if status == 200:
                     per_replica[member] = {**identity, **payload}
                 else:
                     per_replica[member] = {**identity, "status": f"error {status}"}
-            except (OSError, asyncio.TimeoutError, ConnectionError):
+            except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError):
                 per_replica[member] = {**identity, "status": "unreachable"}
 
         await asyncio.gather(
@@ -667,15 +758,15 @@ class Router(HttpFrontEnd):
 
         async def _scrape(member: str, endpoint: str) -> None:
             try:
-                status, text = await asyncio.wait_for(
-                    self._http_request(endpoint, "GET", "/metrics", raw=True),
-                    IO_TIMEOUT,
+                status, blob = await asyncio.wait_for(
+                    self._http_request(endpoint, "GET", "/metrics"), IO_TIMEOUT
                 )
-            except (OSError, asyncio.TimeoutError, ConnectionError):
+            except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError):
                 return
-            if status != 200 or not isinstance(text, str):
+            if status != 200:
                 return
             try:
+                text = blob.decode("utf-8", "replace")
                 scraped[member] = parse_prometheus_text(text)
             except ValueError:
                 return
@@ -706,3 +797,25 @@ class Router(HttpFrontEnd):
                     )
                 )
         return 200, self._registry.render(extra_samples=extra)
+
+
+def _with_served_by(blob: bytes, member: str) -> bytes:
+    """A replica's JSON object ``blob`` with ``"served_by": member`` appended:
+    the bytes ``json.dumps`` writes for the decoded object with that field
+    set last."""
+    field = b'"served_by": ' + json.dumps(member).encode("utf-8")
+    return blob[:-1] + (b", " if blob != b"{}" else b"") + field + b"}"
+
+
+def _json_payload(blob: bytes) -> Any:
+    """A replica's JSON body decoded (an undecodable one as an error object)."""
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except ValueError:
+        return {"error": blob.decode("utf-8", "replace")}
+
+
+def _decoded(response: Tuple[int, bytes]) -> Tuple[int, Any]:
+    """``(status, decoded JSON body)`` of an :meth:`Router._http_request`."""
+    status, blob = response
+    return status, _json_payload(blob)

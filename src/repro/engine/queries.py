@@ -101,6 +101,7 @@ __all__ = [
     "query_from_dict",
     "result_from_dict",
     "results_checksum",
+    "strip_timing",
     "validate_query_terminals",
 ]
 
@@ -312,15 +313,16 @@ def _pairs(mapping: Mapping[Any, Any]) -> List[List[Any]]:
 TIMING_FIELDS = frozenset({"elapsed_seconds", "preprocess_seconds"})
 
 
-def _strip_timing(value: Any) -> Any:
+def strip_timing(value: Any) -> Any:
+    """``value`` (a ``to_dict`` form) without its :data:`TIMING_FIELDS`, recursively."""
     if isinstance(value, dict):
         return {
-            key: _strip_timing(item)
+            key: strip_timing(item)
             for key, item in value.items()
             if key not in TIMING_FIELDS
         }
     if isinstance(value, (list, tuple)):
-        return [_strip_timing(item) for item in value]
+        return [strip_timing(item) for item in value]
     return value
 
 
@@ -334,7 +336,7 @@ def results_checksum(results: Iterable[Any]) -> str:
     counter in their results is bit-for-bit identical.
     """
     payload = [
-        _strip_timing(result.to_dict() if hasattr(result, "to_dict") else result)
+        strip_timing(result.to_dict() if hasattr(result, "to_dict") else result)
         for result in results
     ]
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)

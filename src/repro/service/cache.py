@@ -28,6 +28,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.engine.queries import strip_timing
 from repro.exceptions import ConfigurationError
 from repro.obs.metrics import counter_field, gauge_field
 from repro.utils.validation import check_positive_int
@@ -131,9 +132,14 @@ class ResultCache:
 
     @staticmethod
     def payload_size(payload: Dict[str, Any]) -> int:
-        """The byte size a payload is accounted at (its compact JSON form)."""
+        """The byte size a payload is accounted at: its compact JSON form
+        without the timing fields, whose float reprs vary in length from
+        run to run (the strip :func:`~repro.engine.queries.results_checksum`
+        applies), so identical runs account identical bytes."""
         return len(
-            json.dumps(payload, separators=(",", ":"), default=repr).encode("utf-8")
+            json.dumps(
+                strip_timing(payload), separators=(",", ":"), default=repr
+            ).encode("utf-8")
         )
 
     # ------------------------------------------------------------------
@@ -156,6 +162,17 @@ class ResultCache:
                 return None
             self._entries.move_to_end(key)
             self._stats.hits += 1
+            return entry.payload
+
+    def peek(self, key: CacheKey) -> Optional[Dict[str, Any]]:
+        """The live payload for ``key`` (``None`` when absent or expired),
+        without counting a lookup or moving the entry in the LRU order."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or (
+                entry.expires_at is not None and self._clock() >= entry.expires_at
+            ):
+                return None
             return entry.payload
 
     def put(self, key: CacheKey, payload: Dict[str, Any]) -> bool:

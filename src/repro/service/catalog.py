@@ -339,14 +339,22 @@ class GraphCatalog:
     # Lookup
     # ------------------------------------------------------------------
     def names(self) -> List[str]:
-        """Registered graph names, in registration order."""
-        with self._lock:
-            return list(self._entries)
+        """Registered graph names, in registration order.
+
+        Lock-free like :meth:`entry`: the health probe reads it on the
+        server's event loop.
+        """
+        return list(self._entries)  # reprolint: ok(LOCK001)
 
     def entry(self, name: str) -> CatalogEntry:
-        """The catalog entry for ``name``; raises for unknown names."""
-        with self._lock:
-            entry = self._entries.get(name)
+        """The catalog entry for ``name``; raises for unknown names.
+
+        Reads without the lock: :meth:`update` holds it across a whole
+        delta, and the service's event loop looks entries up for cache
+        hits, which must not wait that long.  Replacing a dict item is
+        atomic, so a reader sees the old entry or the new one.
+        """
+        entry = self._entries.get(name)  # reprolint: ok(LOCK001)
         if entry is None:
             known = ", ".join(repr(key) for key in self.names()) or "none"
             raise ConfigurationError(

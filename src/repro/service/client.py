@@ -1,8 +1,7 @@
 """A small blocking client for the service's JSON/HTTP protocol.
 
-:class:`ServiceClient` wraps :mod:`http.client` (stdlib only, one
-connection per call — the server closes connections after each response)
-and translates the wire format back into typed objects:
+:class:`ServiceClient` wraps :mod:`http.client` (stdlib only) and
+translates the wire format back into typed objects:
 ``query`` / ``query_batch`` accept :class:`~repro.engine.queries.Query`
 objects (or their ``to_dict`` forms) and return
 :class:`ServiceResponse` values whose ``result`` is rebuilt through
@@ -16,15 +15,27 @@ Example
 >>> answer = client.query("karate", KTerminalQuery(terminals=(1, 34)))  # doctest: +SKIP
 >>> answer.result.reliability, answer.cached             # doctest: +SKIP
 (0.63, False)
+>>> client.close()                                       # doctest: +SKIP
+
+Connections are kept alive between calls: each call takes an idle
+connection from the client's pool (or opens one) and returns it after a
+complete response, so one client serves any number of threads.  A
+reused connection the server closed in the meantime (its idle timeout,
+or a restart) fails before any response byte; the request is then sent
+once more on a fresh connection, except an :meth:`ServiceClient.update`,
+which is never sent twice.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import select
+import threading
 import time
+import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.engine.deltas import DeltaOp
 from repro.engine.queries import Query, QueryResult, result_from_dict
@@ -153,6 +164,24 @@ class ServiceClient:
         self._backoff = backoff
         self._max_backoff = max_backoff
         self._sleep = sleep
+        # Kept-alive connections not in use by any call.  A client dropped
+        # without close() closes them when it is collected.
+        self._idle: List[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._idle)
+
+    def close(self) -> None:
+        """Close the idle kept-alive connections; later calls open new ones."""
+        with self._idle_lock:
+            idle = list(self._idle)
+            self._idle.clear()
+        _close_all(idle)
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -220,14 +249,19 @@ class ServiceClient:
         wire form; returns the server's update payload (old/new
         fingerprint, version, ``incremental`` flag, invalidation counts).
 
-        Deliberately *not* retried on 429, unlike every other endpoint:
-        an update is not idempotent (an ``add-edge`` without a pinned
-        ``edge_id`` allocates a fresh id per application), and a shed
-        request gives no signal about whether it was applied.  A 403
-        (read-only replica) surfaces as a :class:`ServiceError`.
+        Deliberately *never sent twice*, unlike every other endpoint: not
+        on 429, and not when a reused connection fails before any
+        response byte (that error propagates).  An update is not
+        idempotent (an ``add-edge`` without a pinned ``edge_id``
+        allocates a fresh id per application), and neither failure says
+        whether it was applied.  A 403 (read-only replica) surfaces as a
+        :class:`ServiceError`.
         """
         return self._request_once(
-            "POST", "/update", {"graph": graph, "delta": _delta_dict(delta)}
+            "POST",
+            "/update",
+            {"graph": graph, "delta": _delta_dict(delta)},
+            resend=False,
         )
 
     # ------------------------------------------------------------------
@@ -270,41 +304,91 @@ class ServiceClient:
         body: Optional[Dict[str, Any]] = None,
         *,
         extra_headers: Optional[Dict[str, str]] = None,
+        resend: bool = True,
     ) -> Any:
-        connection = http.client.HTTPConnection(
+        """One exchange on a kept-alive connection.
+
+        With ``resend``, a reused connection that fails before any
+        response byte is replaced by a fresh one and the request sent
+        once more.
+        """
+        blob = json.dumps(body).encode("utf-8") if body is not None else None
+        headers = {"Content-Type": "application/json"} if blob else {}
+        if extra_headers:
+            headers.update(extra_headers)
+        connection, reused = self._checkout()
+        try:
+            try:
+                connection.request(method, path, body=blob, headers=headers)
+                response = connection.getresponse()
+            except ConnectionError:
+                if not (reused and resend):
+                    raise
+                connection.close()
+                connection = self._connect()
+                connection.request(method, path, body=blob, headers=headers)
+                response = connection.getresponse()
+            raw = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(connection)
+        text = raw.decode("utf-8", "replace")
+        content_type = response.getheader("Content-Type", "")
+        if response.status == 200 and not content_type.startswith(
+            "application/json"
+        ):
+            return text  # /metrics answers Prometheus text, not JSON
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except ValueError:
+            payload = {"error": text}
+        if response.status == 429:
+            raise ServiceOverloadedError(
+                response.status,
+                payload,
+                retry_after=_parse_retry_after(response.getheader("Retry-After")),
+            )
+        if response.status != 200:
+            raise ServiceError(response.status, payload)
+        return payload
+
+    def _connect(self) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(
             self._host, self._port, timeout=self._timeout
         )
-        try:
-            blob = json.dumps(body).encode("utf-8") if body is not None else None
-            headers = {"Content-Type": "application/json"} if blob else {}
-            if extra_headers:
-                headers.update(extra_headers)
-            connection.request(method, path, body=blob, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
-            text = raw.decode("utf-8", "replace")
-            content_type = response.getheader("Content-Type", "")
-            if response.status == 200 and not content_type.startswith(
-                "application/json"
-            ):
-                return text  # /metrics answers Prometheus text, not JSON
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-            except ValueError:
-                payload = {"error": text}
-            if response.status == 429:
-                raise ServiceOverloadedError(
-                    response.status,
-                    payload,
-                    retry_after=_parse_retry_after(
-                        response.getheader("Retry-After")
-                    ),
-                )
-            if response.status != 200:
-                raise ServiceError(response.status, payload)
-            return payload
-        finally:
+
+    def _checkout(self) -> Tuple[http.client.HTTPConnection, bool]:
+        """``(connection, reused)``: an idle connection still open, else a new one."""
+        while True:
+            with self._idle_lock:
+                connection = self._idle.pop() if self._idle else None
+            if connection is None:
+                return self._connect(), False
+            if not _closed_by_peer(connection):
+                return connection, True
             connection.close()
+
+
+def _close_all(connections: List[http.client.HTTPConnection]) -> None:
+    for connection in connections:
+        connection.close()
+
+
+def _closed_by_peer(connection: http.client.HTTPConnection) -> bool:
+    """Whether an idle connection has something to read: the server's close
+    (or stray bytes), either way unusable for the next request."""
+    if connection.sock is None:
+        return True
+    try:
+        readable, _, _ = select.select([connection.sock], [], [], 0)
+    except (OSError, ValueError):  # closed, or past select()'s fd limit
+        return True
+    return bool(readable)
 
 
 def _parse_retry_after(header: Optional[str]) -> Optional[float]:

@@ -19,17 +19,24 @@ so a cached payload is bit-identical (timing fields aside, per
 property the cache and the coalescer rely on, and the one the
 benchmark's parity gate enforces.
 
-A cache miss is evaluated on the thread that asked for it (an HTTP
-executor thread, or whoever called :meth:`ReliabilityService.query`)
-under the service's update lock, so evaluations are serialized against
-each other and against :meth:`ReliabilityService.update`, and the
-request's own trace records the evaluation's spans.
+A query is answered in two steps.  :meth:`ReliabilityService.lookup`
+prepares it and probes the memory tier: it never touches sqlite, never
+evaluates and takes no lock that is held across either, so the HTTP
+server runs it on its event loop and answers a hit there.  On a miss,
+:meth:`ReliabilityService.query` continues with the shared tier and then
+evaluation.  A cache miss is evaluated on the thread that asked for it
+(an HTTP executor thread, or whoever called
+:meth:`ReliabilityService.query`) under the service's update lock, so
+evaluations are serialized against each other and against
+:meth:`ReliabilityService.update`, and the request's own trace records
+the evaluation's spans.
 """
 
 from __future__ import annotations
 
 import copy
 import threading
+import time
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -42,7 +49,6 @@ from repro.service.cache import ResultCache, cache_key
 from repro.service.catalog import GraphCatalog
 from repro.service.coalesce import SingleFlight
 from repro.service.store import SharedResultStore
-from repro.utils.timers import Timer
 
 __all__ = ["ReliabilityService", "ServiceStats"]
 
@@ -205,10 +211,45 @@ class ReliabilityService:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def lookup(
+        self, graph: str, query: QueryLike, *, timings: bool = False
+    ) -> Tuple[Optional[Dict[str, Any]], Optional["ReliabilityService._Request"]]:
+        """Answer ``query`` from the memory tier, or prepare its continuation.
+
+        Counts the request, parses the query and probes the memory cache;
+        it never touches sqlite, never evaluates, and reads the catalog
+        entry without the catalog's lock, so it does not block behind an
+        evaluation or a delta.  Returns ``(response, None)`` on a hit and
+        ``(None, pending)`` on a miss: passing ``pending`` to
+        :meth:`query` as its ``query`` continues with the shared tier and
+        evaluation without counting the request (or the memory miss)
+        again.  A hit's response shares the cached payload's nested
+        dicts — encode it, do not mutate it (:meth:`query` returns a deep
+        copy).  Errors re-raise as in :meth:`query`.
+        """
+        started = time.perf_counter()
+        with self._stats_lock:
+            self._stats.requests += 1
+        try:
+            with span("service.lookup"):
+                request = self._prepare(graph, query, started)
+                payload = self._memory_get(request.key)
+        except Exception:
+            with self._stats_lock:
+                self._stats.errors += 1
+            raise
+        if payload is None:
+            return None, request
+        self._count_hit("memory")
+        response = self._answer(
+            payload, tier="memory", graph=graph, request=request, timings=timings
+        )
+        return response, None
+
     def query(
         self,
         graph: str,
-        query: QueryLike,
+        query: Union[QueryLike, "ReliabilityService._Request"],
         *,
         timeout: Optional[float] = None,
         timings: bool = False,
@@ -220,7 +261,8 @@ class ReliabilityService:
         on this thread; ``timeout`` bounds both waits (``TimeoutError``
         on expiry).  Evaluation errors (unknown graph, invalid
         terminals, ...) re-raise here — the HTTP layer maps them to 4xx
-        responses.
+        responses.  ``query`` may also be the ``pending`` half of a
+        :meth:`lookup` miss, which continues below the memory tier.
 
         With ``timings=True`` and an active trace (see
         :func:`repro.obs.trace.activate`) the response carries an
@@ -229,41 +271,28 @@ class ReliabilityService:
         computed it.  Timing data stays response metadata — the cached
         payload and its checksum never contain it.
         """
-        with self._stats_lock:
-            self._stats.requests += 1
-        timer = Timer().start()
-        trace = current_trace()
-        kind = "?"
-        cached = False
+        if isinstance(query, ReliabilityService._Request):
+            request = query
+        else:
+            response, request = self.lookup(graph, query, timings=timings)
+            if request is None:
+                return copy.deepcopy(response)
         try:
-            with span("service.lookup"):
-                request = self._prepare(graph, query)
-                kind = request.query.kind
-                payload, tier = self._lookup(request.key)
+            payload, tier = self._lookup(request.key)
             if payload is not None:
                 self._count_hit(tier)
-                cached = True
             else:
                 self._check_open()
                 with span("service.wait"):
                     payload = self._compute(graph, request, timeout)
-            response = self._respond(payload, tier=tier, graph=graph)
         except Exception:
             with self._stats_lock:
                 self._stats.errors += 1
             raise
-        elapsed = timer.stop()
-        if self._slow_query_log is not None:
-            self._slow_query_log.record(
-                graph=graph,
-                kind=kind,
-                elapsed_seconds=elapsed,
-                trace_id=trace.trace_id if trace is not None else None,
-                cached=cached,
-            )
-        if timings and trace is not None:
-            response["timings"] = trace.to_dict()
-        return response
+        response = self._answer(
+            payload, tier=tier, graph=graph, request=request, timings=timings
+        )
+        return copy.deepcopy(response)
 
     def query_batch(
         self,
@@ -297,10 +326,14 @@ class ReliabilityService:
         for position, request in enumerate(requests):
             if request is None:
                 continue
-            payload, tier = self._lookup(request.key)
+            payload, tier = self._memory_get(request.key), "memory"
+            if payload is None:
+                payload, tier = self._lookup(request.key)
             if payload is not None:
                 self._count_hit(tier)
-                outcomes[position] = self._respond(payload, tier=tier, graph=graph)
+                outcomes[position] = copy.deepcopy(
+                    self._respond(payload, tier=tier, graph=graph)
+                )
             else:
                 misses.setdefault(request.key, []).append(position)
         if misses:
@@ -316,7 +349,9 @@ class ReliabilityService:
                     self._stats.errors += len(positions)
                 continue
             for position in positions:
-                outcomes[position] = self._respond(payload, tier=None, graph=graph)
+                outcomes[position] = copy.deepcopy(
+                    self._respond(payload, tier=None, graph=graph)
+                )
         return [outcome for outcome in outcomes if outcome is not None]
 
     # ------------------------------------------------------------------
@@ -413,13 +448,18 @@ class ReliabilityService:
     # Internals
     # ------------------------------------------------------------------
     class _Request:
-        __slots__ = ("query", "key")
+        """A parsed query, its cache key, and when its lookup started."""
 
-        def __init__(self, query: Query, key: Any) -> None:
+        __slots__ = ("query", "key", "started")
+
+        def __init__(self, query: Query, key: Any, started: float) -> None:
             self.query = query
             self.key = key
+            self.started = started
 
-    def _prepare(self, graph: str, query: QueryLike) -> "ReliabilityService._Request":
+    def _prepare(
+        self, graph: str, query: QueryLike, started: float = 0.0
+    ) -> "ReliabilityService._Request":
         if isinstance(query, Mapping):
             query = query_from_dict(query)
         if not isinstance(query, Query):
@@ -430,20 +470,21 @@ class ReliabilityService:
         key = cache_key(
             entry.fingerprint, query.canonical_key(), self._config_fingerprint
         )
-        return self._Request(query, key)
+        return self._Request(query, key, started)
+
+    def _memory_get(self, key: Any) -> Optional[Dict[str, Any]]:
+        """The memory tier's payload for ``key`` (``None`` on a miss)."""
+        return self._cache.get(key) if self._cache is not None else None
 
     def _lookup(self, key: Any):
-        """``(payload, tier)`` from memory then the shared store, else ``(None, None)``.
+        """``(payload, "shared")`` from the shared store, else ``(None, None)``.
 
-        A shared-store hit is promoted into the memory cache so repeats in
-        this process stay off sqlite.
+        The tier below memory.  A hit is promoted into the memory cache so
+        repeats in this process stay off sqlite.
         """
-        if self._cache is not None:
-            payload = self._cache.get(key)
-            if payload is not None:
-                return payload, "memory"
         if self._store is not None:
-            payload = self._store.get(key)
+            with span("service.lookup"):
+                payload = self._store.get(key)
             if payload is not None:
                 if self._cache is not None:
                     self._cache.put(key, payload)
@@ -456,16 +497,41 @@ class ReliabilityService:
             if tier == "shared":
                 self._stats.shared_store_hits += 1
 
+    def _answer(
+        self,
+        payload: Dict[str, Any],
+        *,
+        tier: Optional[str],
+        graph: str,
+        request: "ReliabilityService._Request",
+        timings: bool,
+    ) -> Dict[str, Any]:
+        """The response to one query, recorded in the slow-query log."""
+        response = self._respond(payload, tier=tier, graph=graph)
+        trace = current_trace()
+        if self._slow_query_log is not None:
+            self._slow_query_log.record(
+                graph=graph,
+                kind=request.query.kind,
+                elapsed_seconds=time.perf_counter() - request.started,
+                trace_id=trace.trace_id if trace is not None else None,
+                cached=tier is not None,
+            )
+        if timings and trace is not None:
+            response["timings"] = trace.to_dict()
+        return response
+
     @staticmethod
     def _respond(
         payload: Dict[str, Any], *, tier: Optional[str], graph: str
     ) -> Dict[str, Any]:
-        # Deep copy: callers may mutate the response, and the payload (its
-        # nested "result" dict included) is shared with the cache and with
-        # coalesced waiters.  The graph name is stamped per request — the
-        # cache key is content-based, so a hit may have been computed under
-        # a different catalog name for the same graph.
-        response = copy.deepcopy(payload)
+        # A shallow copy: the nested "result" dict stays shared with the
+        # cache and with coalesced waiters, so callers that hand the
+        # response out (query, query_batch) deep-copy it.  The graph name
+        # is stamped per request — the cache key is content-based, so a
+        # hit may have been computed under a different catalog name for
+        # the same graph.
+        response = dict(payload)
         response["cached"] = tier is not None
         response["cache_tier"] = tier
         response["graph"] = graph
@@ -496,7 +562,8 @@ class ReliabilityService:
         """Evaluate one query on the graph's shared engine, on this thread.
 
         Runs ``engine.query(query, seed_index=0)`` and stores the payload
-        in both cache tiers before returning it.  Holds the update lock
+        in both cache tiers before returning it, unless the memory tier
+        already holds the answer by then.  Holds the update lock
         end to end (waiting at most ``timeout`` seconds for it), and keys
         the cache writes by the fingerprint read *inside* it, not the one
         the request was looked up under: a delta landing between lookup
@@ -509,6 +576,17 @@ class ReliabilityService:
         try:
             engine = self._catalog.engine(graph)
             fingerprint = self._catalog.entry(graph).fingerprint
+            key = cache_key(
+                fingerprint, query.canonical_key(), self._config_fingerprint
+            )
+            if self._cache is not None:
+                # An identical request may have finished evaluating after
+                # this one missed the memory tier (the HTTP server probes
+                # it on the event loop, before an evaluation thread picks
+                # the request up): answer with that payload.
+                finished = self._cache.peek(key)
+                if finished is not None:
+                    return finished
             before = engine.stats.queries_served
             try:
                 result = engine.query(query, seed_index=0)
@@ -527,9 +605,6 @@ class ReliabilityService:
                 "checksum": results_checksum([result]),
                 "result": result.to_dict(),
             }
-            key = cache_key(
-                fingerprint, query.canonical_key(), self._config_fingerprint
-            )
             if self._cache is not None:
                 self._cache.put(key, payload)
             if self._store is not None:

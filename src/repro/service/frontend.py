@@ -8,17 +8,23 @@ it and writing the JSON or Prometheus text response.  The subclasses pass
 in their routes and instruments, so a client cannot tell a router from a
 replica but by an answer's ``served_by``.
 
-Connections are one-request (``Connection: close``), which keeps the
-protocol parser trivial; the blocking
-:class:`~repro.service.client.ServiceClient` opens one connection per
-call.  Statuses mean the same at every address; the front-end itself
-decides 404, 405, 413, and 400/500 for a request that does not parse or
-a handler that raises:
+Connections are kept alive: one connection serves requests in turn
+until the client sends ``Connection: close``, speaks HTTP/1.0 without
+``Connection: keep-alive``, or leaves it idle for :data:`IO_TIMEOUT`
+seconds (closed silently, with no response written).  Every response
+says which with its ``Connection`` header.  A 413 (its body was never
+read), a 400 for a request that does not parse, and a read that times
+out in the middle of a request also close the connection after the
+response.  :meth:`HttpFrontEnd.close` closes open connections too.
+Statuses mean the same at every address; the front-end itself decides
+404, 405, 413, and 400/500 for a request that does not parse or a
+handler that raises:
 
 =======  ============================================================
-``400``  unparseable request line or headers, a request not read in
-         :data:`IO_TIMEOUT` seconds, or a client error in the body (not
-         a JSON object, unknown graph, malformed query, bad terminals)
+``400``  unparseable request line or headers, a started request not
+         read in :data:`IO_TIMEOUT` seconds, or a client error in the
+         body (not a JSON object, unknown graph, malformed query, bad
+         terminals)
 ``403``  an update on a read-only service
 ``404``  a path outside the route table
 ``405``  a known path with the wrong method
@@ -39,7 +45,8 @@ import signal
 import threading
 import time
 from concurrent.futures import Future
-from typing import Any, Awaitable, Callable, Dict, Optional, Tuple, Type, TypeVar
+from concurrent.futures import TimeoutError as FutureTimeoutError
+from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple, Type, TypeVar
 
 from repro.exceptions import ReproError
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, Counter, Histogram
@@ -58,8 +65,9 @@ __all__ = [
 #: thousands of queries fits in a fraction of this).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
-#: Seconds a front-end waits for one request's head and body (the router
-#: also bounds each replica's answer to an aggregation probe by it).
+#: Seconds a front-end waits for one request's head and body, and for the
+#: next request on an idle kept-alive connection (the router also bounds
+#: each replica's answer to an aggregation probe by it).
 IO_TIMEOUT = 30.0
 
 _REASONS = {
@@ -75,7 +83,8 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
-#: ``(status, payload)``: a JSON-able payload, or ``str`` for Prometheus text.
+#: ``(status, payload)``: a JSON-able payload, ``str`` for Prometheus text,
+#: or ``bytes`` already encoded as JSON (a body the router relays as is).
 Response = Tuple[int, Any]
 #: A route's handler: ``await handler(body, headers)``.
 Handler = Callable[[bytes, Dict[str, str]], Awaitable[Response]]
@@ -87,12 +96,17 @@ class _BodyTooLarge(ValueError):
     """A declared Content-Length beyond :data:`MAX_BODY_BYTES`."""
 
 
-async def read_head(reader: asyncio.StreamReader) -> Tuple[str, Dict[str, str]]:
+async def read_head(
+    reader: asyncio.StreamReader, first_line: Optional[bytes] = None
+) -> Tuple[str, Dict[str, str]]:
     """An HTTP start line and its headers (names lower-cased).
 
-    A blank start line (the peer sent nothing) comes back with no headers.
+    ``first_line`` is the start line when the caller already read it.  A
+    blank start line (the peer sent nothing) comes back with no headers.
     """
-    start_line = (await reader.readline()).decode("ascii", "replace").strip()
+    if first_line is None:
+        first_line = await reader.readline()
+    start_line = first_line.decode("ascii", "replace").strip()
     headers: Dict[str, str] = {}
     while start_line:  # a blank start line has no headers to read
         line = await reader.readline()
@@ -127,7 +141,7 @@ def wait_for_stop_signal() -> None:
 
 
 class HttpFrontEnd:
-    """Serve a route table over HTTP/1.1, one request per connection.
+    """Serve a route table over HTTP/1.1 on kept-alive connections.
 
     Parameters
     ----------
@@ -168,6 +182,8 @@ class HttpFrontEnd:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._port: Optional[int] = None
+        # The handler task of every open connection (loop thread only).
+        self._connections: Set["asyncio.Task[None]"] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -231,17 +247,33 @@ class HttpFrontEnd:
         return self
 
     def close(self) -> None:
-        """Stop accepting and stop the loop thread."""
-        loop, server = self._loop, self._server
-        if loop is not None and server is not None and loop.is_running():
-            loop.call_soon_threadsafe(server.close)
-            loop.call_soon_threadsafe(loop.stop)
+        """Stop accepting, close open connections, stop the loop thread."""
+        loop = self._loop
+        if loop is not None and loop.is_running():
+            shutdown = asyncio.run_coroutine_threadsafe(self._shutdown(), loop)
+            try:
+                shutdown.result(timeout=10.0)
+            except FutureTimeoutError:
+                pass  # stopping the loop abandons what is still closing
+            finally:
+                loop.call_soon_threadsafe(loop.stop)
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
 
+    async def _shutdown(self) -> None:
+        """Stop accepting and end every connection's handler task."""
+        if self._server is not None:
+            self._server.close()
+        await asyncio.sleep(0)  # a connection accepted just now registers first
+        while self._connections:
+            connections = list(self._connections)
+            for task in connections:
+                task.cancel()
+            await asyncio.gather(*connections, return_exceptions=True)
+
     # ------------------------------------------------------------------
-    # One request per connection
+    # Requests on a kept-alive connection
     # ------------------------------------------------------------------
     async def _dispatch(
         self, method: str, path: str, body: bytes, headers: Dict[str, str]
@@ -258,33 +290,51 @@ class HttpFrontEnd:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
-            response = await self._respond(reader)
-            if response is not None:
+            keep_alive = True
+            while keep_alive:
+                response, keep_alive = await self._respond(reader)
+                if response is None:
+                    break
                 writer.write(response)
                 await writer.drain()
-        except ConnectionError:
-            pass  # the client went away; there is no one left to answer
+        except (ConnectionError, asyncio.CancelledError):
+            # The client went away, or close() cancelled this task.  Either
+            # way it ends normally: on Python 3.11 asyncio's stream callback
+            # reads a cancelled connection task's exception and logs it.
+            pass
         finally:
+            self._connections.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, asyncio.CancelledError):
                 pass
 
-    async def _respond(self, reader: asyncio.StreamReader) -> Optional[bytes]:
-        """The response to the connection's one request; ``None`` if none came."""
+    async def _respond(
+        self, reader: asyncio.StreamReader
+    ) -> Tuple[Optional[bytes], bool]:
+        """The response to the connection's next request, and whether the
+        connection stays open after it; ``(None, False)`` when the client
+        closed the connection or left it idle."""
         try:
-            request = await asyncio.wait_for(_read_request(reader), IO_TIMEOUT)
+            request = await _read_request(reader)
         except asyncio.TimeoutError:
-            return _encode_response(400, {"error": "request read timed out"})
+            return _encode_response(400, {"error": "request read timed out"}), False
         except _BodyTooLarge as error:
-            return _encode_response(413, {"error": str(error)})
+            return _encode_response(413, {"error": str(error)}), False
+        except ConnectionError:
+            return None, False  # the client went away mid-request
         except Exception as error:
-            return _encode_response(400, {"error": f"malformed request: {error}"})
+            return (
+                _encode_response(400, {"error": f"malformed request: {error}"}),
+                False,
+            )
         if request is None:
-            return None
-        method, path, body, headers = request
+            return None, False
+        method, path, body, headers, keep_alive = request
         route = path.split("?", 1)[0]
         started = time.perf_counter()
         try:
@@ -302,34 +352,72 @@ class HttpFrontEnd:
         )
         if self._responses_total is not None:
             self._responses_total.labels(path=label, status=str(status)).inc()
-        return _encode_response(status, payload)
+        return _encode_response(status, payload, keep_alive=keep_alive), keep_alive
 
 
 async def _read_request(
     reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, bytes, Dict[str, str]]]:
-    """``(method, path, body, headers)``, or ``None`` when nothing was sent."""
-    request_line, headers = await read_head(reader)
-    if not request_line:
-        return None
-    parts = request_line.split()
-    if len(parts) < 2:
-        raise ValueError(f"bad request line {request_line!r}")
-    content_length = int(headers.get("content-length", 0))
-    if content_length > MAX_BODY_BYTES:
-        raise _BodyTooLarge(
-            f"request body of {content_length} bytes exceeds the "
-            f"{MAX_BODY_BYTES}-byte limit"
-        )
-    body = await reader.readexactly(content_length) if content_length else b""
-    return parts[0].upper(), parts[1], body, headers
+) -> Optional[Tuple[str, str, bytes, Dict[str, str], bool]]:
+    """``(method, path, body, headers, keep_alive)``, or ``None`` when the
+    client closed the connection, or left it idle for :data:`IO_TIMEOUT`
+    seconds, before a request line arrived.
+
+    The rest of the request must then arrive within another
+    :data:`IO_TIMEOUT` seconds (else ``asyncio.TimeoutError``).
+    """
+    timer = _expire_reads(reader)
+    try:
+        first_line = await reader.readline()
+    except asyncio.TimeoutError:
+        return None  # an idle connection: close it without a word
+    finally:
+        timer.cancel()
+    timer = _expire_reads(reader)
+    try:
+        request_line, headers = await read_head(reader, first_line)
+        if not request_line:
+            return None
+        parts = request_line.split()
+        if len(parts) < 2:
+            raise ValueError(f"bad request line {request_line!r}")
+        content_length = int(headers.get("content-length", 0))
+        if content_length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(
+                f"request body of {content_length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
+        body = await reader.readexactly(content_length) if content_length else b""
+    finally:
+        timer.cancel()
+    connection = headers.get("connection", "").lower()
+    if len(parts) > 2 and parts[2].upper() == "HTTP/1.1":
+        keep_alive = connection != "close"
+    else:  # HTTP/1.0 (or older) closes unless asked not to
+        keep_alive = connection == "keep-alive"
+    return parts[0].upper(), parts[1], body, headers, keep_alive
 
 
-def _encode_response(status: int, payload: Any) -> bytes:
-    """The wire bytes of one response: JSON, or Prometheus text for a ``str``."""
+def _expire_reads(reader: asyncio.StreamReader) -> asyncio.TimerHandle:
+    """Fail ``reader``'s pending and later reads with ``asyncio.TimeoutError``
+    in :data:`IO_TIMEOUT` seconds, unless the handle is cancelled first.
+
+    A timer costs a fraction of an ``asyncio.wait_for`` task per read; the
+    connection is not read again after it fires.
+    """
+    return asyncio.get_running_loop().call_later(
+        IO_TIMEOUT, reader.set_exception, asyncio.TimeoutError("read timed out")
+    )
+
+
+def _encode_response(status: int, payload: Any, *, keep_alive: bool = False) -> bytes:
+    """The wire bytes of one response: JSON (``bytes`` pass through as
+    encoded JSON), or Prometheus text for a ``str``."""
     if isinstance(payload, str):  # text exposition (/metrics)
         blob = payload.encode("utf-8")
         content_type = PROMETHEUS_CONTENT_TYPE
+    elif isinstance(payload, bytes):  # JSON relayed as received
+        blob = payload
+        content_type = "application/json"
     else:
         blob = json.dumps(payload, default=repr).encode("utf-8")
         content_type = "application/json"
@@ -337,7 +425,7 @@ def _encode_response(status: int, payload: Any) -> bytes:
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
         f"Content-Type: {content_type}",
         f"Content-Length: {len(blob)}",
-        "Connection: close",
+        "Connection: keep-alive" if keep_alive else "Connection: close",
     ]
     if status == 429:
         head.append("Retry-After: 1")

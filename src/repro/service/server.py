@@ -23,11 +23,16 @@ when the body asks with ``{"timings": true}`` — answer with a per-stage
 ``"timings"`` section.  Without the header a fresh trace id is minted
 for timing-requesting bodies, so ``timings`` works standalone too.
 
-Evaluation runs on a bounded thread pool (``max_inflight`` threads) so
-the asyncio loop never blocks on engine work — a cache miss is evaluated
-on the pool thread that serves it, under the request's trace (see
-:func:`~repro.obs.trace.run_with_trace`); requests beyond the pool
-plus a bounded wait queue are rejected with **429** and a ``Retry-After``
+A ``/query`` is first looked up in the memory tier on the event loop
+(:meth:`~repro.service.core.ReliabilityService.lookup`, which never
+touches sqlite or the engine), and a hit is answered there: it takes no
+admission slot and never waits behind an evaluation.  Everything else —
+a memory miss (shared tier, then evaluation), ``/query_batch`` and
+``/update`` — runs on a bounded thread pool (``max_inflight`` threads)
+so the loop never blocks on engine work; a miss is evaluated on the
+pool thread that serves it, under the request's trace (see
+:func:`~repro.obs.trace.run_with_trace`).  Requests beyond the pool plus
+a bounded wait queue are rejected with **429** and a ``Retry-After``
 header — admission control, so overload degrades into fast rejections
 instead of unbounded queueing (updates count against the same budget).
 Reading requests, status codes and the response format belong to the
@@ -215,44 +220,61 @@ class ServiceServer(HttpFrontEnd):
         want_timings = bool(payload.get("timings"))
         trace = new_trace(trace_id) if (trace_id or want_timings) else None
 
-        rejected = self._try_admit()
-        if rejected is not None:
-            return rejected
-        loop = asyncio.get_running_loop()
-        try:
-            if path == "/query":
-                if "query" not in payload:
-                    return 400, {"error": "missing 'query' field"}
-                # run_with_trace: run_in_executor does not carry the
-                # contextvar to the worker thread.
-                work = lambda: run_with_trace(  # noqa: E731
+        if path == "/query":
+            if "query" not in payload:
+                return 400, {"error": "missing 'query' field"}
+            # The memory tier answers here, on the loop: a hit takes no
+            # admission slot and never waits for an evaluation thread.
+            try:
+                response, pending = run_with_trace(
                     trace,
-                    self._service.query,
+                    self._service.lookup,
                     graph,
                     payload["query"],
-                    timeout=self._request_timeout,
                     timings=want_timings,
                 )
-                result = await loop.run_in_executor(self._executor, work)
-                return 200, result
+            except Exception as error:
+                return _error_response(error)
+            if response is not None:
+                return 200, response
+            # run_with_trace: run_in_executor does not carry the
+            # contextvar to the worker thread.
+            work = partial(
+                run_with_trace,
+                trace,
+                self._service.query,
+                graph,
+                pending,
+                timeout=self._request_timeout,
+                timings=want_timings,
+            )
+        else:
             queries = payload.get("queries")
             if not isinstance(queries, list):
                 return 400, {"error": "missing 'queries' list"}
-            work = lambda: run_with_trace(  # noqa: E731
+            work = partial(
+                run_with_trace,
                 trace,
                 self._service.query_batch,
                 graph,
                 queries,
                 timeout=self._request_timeout,
             )
-            results = await loop.run_in_executor(self._executor, work)
-            return 200, {"graph": graph, "results": results}
-        except ReproError as error:
-            return 400, {"error": str(error), "error_type": type(error).__name__}
+
+        rejected = self._try_admit()
+        if rejected is not None:
+            return rejected
+        try:
+            result = await asyncio.get_running_loop().run_in_executor(
+                self._executor, work
+            )
         except Exception as error:
-            return 500, {"error": str(error), "error_type": type(error).__name__}
+            return _error_response(error)
         finally:
             self._release()
+        if path == "/query":
+            return 200, result
+        return 200, {"graph": graph, "results": result}
 
     async def _handle_update(self, body: bytes, headers: Dict[str, str]) -> Response:
         try:
@@ -265,16 +287,20 @@ class ServiceServer(HttpFrontEnd):
         rejected = self._try_admit()
         if rejected is not None:
             return rejected
-        loop = asyncio.get_running_loop()
         try:
-            work = lambda: self._service.update(graph, delta)  # noqa: E731
-            result = await loop.run_in_executor(self._executor, work)
-            return 200, result
+            result = await asyncio.get_running_loop().run_in_executor(
+                self._executor, self._service.update, graph, delta
+            )
         except UpdateRejectedError as error:
             return 403, {"error": str(error), "error_type": type(error).__name__}
-        except ReproError as error:
-            return 400, {"error": str(error), "error_type": type(error).__name__}
         except Exception as error:
-            return 500, {"error": str(error), "error_type": type(error).__name__}
+            return _error_response(error)
         finally:
             self._release()
+        return 200, result
+
+
+def _error_response(error: Exception) -> Response:
+    """400 for a client error the service raised, 500 for anything else."""
+    status = 400 if isinstance(error, ReproError) else 500
+    return status, {"error": str(error), "error_type": type(error).__name__}

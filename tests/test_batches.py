@@ -30,7 +30,7 @@ from repro.engine.queries import (
     ReliableSubgraphQuery,
     ThresholdQuery,
     TopKReliableVerticesQuery,
-    _strip_timing,
+    strip_timing,
 )
 from repro.exceptions import ConfigurationError, TerminalError
 from repro.graph.generators import random_connected_graph
@@ -62,7 +62,7 @@ def mixed_workload(repeats: int = 2):
 
 
 def canonical(results):
-    return [_strip_timing(result.to_dict()) for result in results]
+    return [strip_timing(result.to_dict()) for result in results]
 
 
 # ----------------------------------------------------------------------
@@ -305,7 +305,7 @@ class TestResultValues:
 
     def test_timing_fields_are_the_only_stripped_content(self):
         result = fresh_engine("s2bdd").query(KTerminalQuery(terminals=(0, 5)))
-        stripped = _strip_timing(result.to_dict())
+        stripped = strip_timing(result.to_dict())
         assert "elapsed_seconds" not in stripped["estimate"]
         kept = set(result.to_dict()["estimate"]) - set(stripped["estimate"])
         assert kept == TIMING_FIELDS

@@ -42,6 +42,7 @@ from repro.service import (
     ServiceError,
     ServiceOverloadedError,
     ServiceServer,
+    SharedResultStore,
     SingleFlight,
     cache_key,
     graph_fingerprint,
@@ -201,6 +202,22 @@ class TestResultCache:
             cache.put(cache_key("g", str(index), "c"), payload)
         assert cache.stats().current_bytes <= size * 2
         assert len(cache) == 2
+
+    def test_payload_size_ignores_timing_values(self):
+        def payload(elapsed, preprocess):
+            return {
+                "checksum": "abc",
+                "result": {
+                    "reliability": 0.5,
+                    "estimate": {
+                        "elapsed_seconds": elapsed,
+                        "preprocess_seconds": preprocess,
+                    },
+                },
+            }
+
+        short, long = payload(0.5, 0.25), payload(0.123456789012345, 1.0000000000000002)
+        assert ResultCache.payload_size(short) == ResultCache.payload_size(long)
 
     def test_oversized_payload_not_cached(self):
         cache = ResultCache(max_bytes=10)
@@ -628,6 +645,34 @@ class TestReliabilityService:
         assert stale_entry is None
         assert current_entry["checksum"] == answer["checksum"]
 
+    def test_lookup_hit_counts_once_and_miss_continues(self, catalog):
+        query = KTerminalQuery(terminals=(1, 34))
+        with ReliabilityService(catalog) as service:
+            response, pending = service.lookup("karate", query)
+            assert response is None
+            computed = service.query("karate", pending)
+            hit, none = service.lookup("karate", query)
+            stats = service.stats()
+        assert none is None
+        assert (computed["cached"], hit["cached"]) == (False, True)
+        assert hit["checksum"] == computed["checksum"]
+        assert stats["service"]["requests"] == 2
+        assert stats["service"]["engine_evaluations"] == 1
+        assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (1, 1)
+
+    def test_miss_reuses_an_answer_finished_after_it_missed(self, catalog):
+        """The memory probe runs before an evaluation thread picks the
+        request up; an identical request finishing meanwhile is reused."""
+        query = KTerminalQuery(terminals=(1, 34))
+        with ReliabilityService(catalog) as service:
+            _, pending = service.lookup("karate", query)
+            first = service.query("karate", query)  # evaluates and caches
+            second = service.query("karate", pending)
+            stats = service.stats()
+        assert second["checksum"] == first["checksum"]
+        assert stats["service"]["engine_evaluations"] == 1
+        assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (0, 2)
+
     def test_close_refuses_misses_but_serves_hits(self, catalog):
         service = ReliabilityService(catalog)
         hit = KTerminalQuery(terminals=(1, 34))
@@ -767,6 +812,65 @@ class TestHttpEndToEnd:
         finally:
             service.stats = original
 
+    def test_stream_counters_are_unchanged(self, karate, tmp_path):
+        """A fixed stream over HTTP — hits of both tiers, misses, errors, a
+        delta and a batch — leaves the counters it left when every request
+        was evaluated on the thread pool."""
+        config = EstimatorConfig(backend="sampling", samples=200, rng=7)
+        warm_catalog = GraphCatalog(config)
+        warm_catalog.register("karate", karate)
+        catalog = GraphCatalog(config)
+        catalog.register("karate", load_dataset("karate"))  # the delta mutates it
+        with SharedResultStore(str(tmp_path / "shared.sqlite")) as store:
+            with ReliabilityService(warm_catalog, store=store) as warm:
+                warm.query("karate", KTerminalQuery(terminals=(5, 17)))
+            service = ReliabilityService(catalog, store=store)
+            server = ServiceServer(service, port=0).start_background()
+            try:
+                with ServiceClient(port=server.port) as client:
+                    for terminals in [(1, 34), (2, 30), (1, 34), (5, 17), (5, 17)]:
+                        client.query("karate", KTerminalQuery(terminals=terminals))
+                    with pytest.raises(ServiceError):
+                        client.query("nope", KTerminalQuery(terminals=(1, 34)))
+                    with pytest.raises(ServiceError):
+                        client.query("karate", {"kind": "bogus"})
+                    client.update(
+                        "karate",
+                        {"kind": "set-probability", "edge_id": 7, "probability": 0.9},
+                    )
+                    for terminals in [(1, 34), (1, 34), (2, 30)]:
+                        client.query("karate", KTerminalQuery(terminals=terminals))
+                    batch = [(2, 30), (3, 20), (3, 20)]
+                    client.query_batch(
+                        "karate", [KTerminalQuery(terminals=t) for t in batch]
+                    )
+                    client.query("karate", KTerminalQuery(terminals=(3, 20)))
+                stats = service.stats()
+            finally:
+                server.close()
+                service.close()
+        observed = {
+            "service": {
+                name: stats["service"][name]
+                for name in ("requests", "cache_hits", "shared_store_hits",
+                             "engine_evaluations", "errors")
+            },
+            "cache": {name: stats["cache"][name] for name in ("hits", "misses")},
+            "store": {name: stats["shared_store"][name] for name in ("hits", "misses")},
+        }
+        # Recorded with the server that evaluated every request on its pool.
+        assert observed == {
+            "service": {
+                "requests": 14,
+                "cache_hits": 6,
+                "shared_store_hits": 1,
+                "engine_evaluations": 5,
+                "errors": 2,
+            },
+            "cache": {"hits": 5, "misses": 7},
+            "store": {"hits": 1, "misses": 7},
+        }
+
     def test_admission_control_sheds_overload(self, karate):
         """With one evaluation slot and no queue, a concurrent burst 429s."""
         release = threading.Event()
@@ -779,6 +883,9 @@ class TestHttpEndToEnd:
 
             def stats(self):
                 return {}
+
+            def lookup(self, graph, query, timings=False):
+                return None, query  # a memory miss: evaluate on the pool
 
             def query(self, graph, query, timeout=None, timings=False):
                 release.wait(timeout=10)
