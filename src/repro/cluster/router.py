@@ -36,9 +36,6 @@ endpoint.  A pooled connection that fails before any response byte (the
 replica closed it while idle) is replaced once by a fresh connection —
 the replica is fine, so that is neither a failover nor a failure report.
 Updates always go out on a fresh connection and are never sent twice.
-An untraced ``/query`` answer is relayed as the replica's bytes, with
-only ``"served_by"`` appended to the JSON object, instead of being
-decoded and encoded again.
 
 Observability: an ``X-Repro-Trace`` header (or a ``"timings": true``
 request field) rides through to the owning replica, so one trace id
@@ -233,8 +230,8 @@ class Router(HttpFrontEnd):
         # identical whichever one does.
         for key, endpoint in self._supervisor.live_endpoints().items():  # reprolint: ok(ORD001)
             try:
-                status, payload = _decoded(
-                    await self._http_request(endpoint, "GET", "/graphs")
+                status, payload = await self._http_request(
+                    endpoint, "GET", "/graphs"
                 )
             except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError):
                 continue
@@ -266,14 +263,12 @@ class Router(HttpFrontEnd):
             if (trace_id or bool(payload.get("timings")))
             else None
         )
-        if trace is None:
-            # Untraced: relay the replica's bytes as they came.
-            return await self._forward_keyed("POST", "/query", body, key, relay=True)
+        extra_headers = {TRACE_HEADER: trace.trace_id} if trace is not None else None
         started = time.perf_counter()
         status, answer = await self._forward_keyed(
-            "POST", "/query", body, key, extra_headers={TRACE_HEADER: trace.trace_id}
+            "POST", "/query", body, key, extra_headers=extra_headers
         )
-        if isinstance(answer, dict):
+        if trace is not None and isinstance(answer, dict):
             timings = answer.get("timings")
             if isinstance(timings, dict):
                 # The replica built its trace from the forwarded id; add
@@ -397,13 +392,9 @@ class Router(HttpFrontEnd):
                 # A fresh connection: a delta must never be sent twice,
                 # so it cannot ride a pooled connection that may have
                 # gone stale.
-                status, answer = _decoded(
-                    await asyncio.wait_for(
-                        self._http_request(
-                            endpoint, "POST", "/update", body, pooled=False
-                        ),
-                        self._forward_timeout,
-                    )
+                status, answer = await asyncio.wait_for(
+                    self._http_request(endpoint, "POST", "/update", body, pooled=False),
+                    self._forward_timeout,
                 )
             except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError) as error:
                 self._supervisor.notify_failure(member)
@@ -467,8 +458,7 @@ class Router(HttpFrontEnd):
         key: str,
         *,
         extra_headers: Optional[Dict[str, str]] = None,
-        relay: bool = False,
-    ) -> Response:
+    ) -> Tuple[int, Dict[str, Any]]:
         try:
             first = self._preferred_live(key)[0]
         except ClusterError as error:
@@ -476,7 +466,7 @@ class Router(HttpFrontEnd):
                 self._stats.no_replica += 1
             return 503, {"error": str(error)}
         return await self._forward_with_failover(
-            method, path, body, first=first, extra_headers=extra_headers, relay=relay
+            method, path, body, first=first, extra_headers=extra_headers
         )
 
     async def _forward_with_failover(
@@ -487,15 +477,12 @@ class Router(HttpFrontEnd):
         *,
         first: str,
         extra_headers: Optional[Dict[str, str]] = None,
-        relay: bool = False,
-    ) -> Response:
+    ) -> Tuple[int, Dict[str, Any]]:
         """Forward to ``first``, then down the live member list on failure.
 
         Only transport-level failures (connect/read errors, timeouts)
         fail over — an HTTP error status is the replica's *answer* and is
         passed through; retrying a 400 elsewhere would just repeat it.
-        The answer carries ``"served_by"``; with ``relay`` it comes back
-        as the replica's JSON bytes with that one field appended.
         """
         live = self._supervisor.live_endpoints()
         members = [first] + [key for key in sorted(live) if key != first]
@@ -505,7 +492,7 @@ class Router(HttpFrontEnd):
             if endpoint is None:
                 continue
             try:
-                status, blob = await asyncio.wait_for(
+                status, payload = await asyncio.wait_for(
                     self._http_request(
                         endpoint, method, path, body, extra_headers=extra_headers
                     ),
@@ -521,9 +508,6 @@ class Router(HttpFrontEnd):
                 continue
             with self._stats_lock:
                 self._stats.forwarded += 1
-            if relay and blob.startswith(b"{") and blob.endswith(b"}"):
-                return status, _with_served_by(blob, member)
-            payload = _json_payload(blob)
             if isinstance(payload, dict):
                 payload.setdefault("served_by", member)
             return status, payload
@@ -552,9 +536,10 @@ class Router(HttpFrontEnd):
         body: bytes = b"",
         *,
         extra_headers: Optional[Dict[str, str]] = None,
+        raw: bool = False,
         pooled: bool = True,
-    ) -> Tuple[int, bytes]:
-        """One HTTP exchange with a replica: its status and body bytes.
+    ) -> Tuple[int, Any]:
+        """One HTTP exchange with a replica: its status and parsed JSON body.
 
         Runs on an idle kept-alive connection to ``endpoint`` when there
         is one, and puts the connection back after a complete response.
@@ -562,26 +547,37 @@ class Router(HttpFrontEnd):
         replaced by a fresh connection and the request sent once more;
         that is not a failover.  ``pooled=False`` uses a fresh
         connection only and never sends the request twice.
+
+        With ``raw`` the response body comes back as decoded text instead
+        of parsed JSON — the ``/metrics`` scrape path, where the replica
+        answers Prometheus text.
         """
-        if pooled:
-            idle = self._idle.get(endpoint)
-            while idle:
-                connection = idle.pop()
-                reader, writer = connection
-                if reader.at_eof() or writer.is_closing():
-                    writer.close()  # the replica closed it while idle
-                    continue
-                try:
-                    return await self._exchange(
-                        endpoint, connection, method, path, body, extra_headers
-                    )
-                except _Unanswered:
-                    break
-        host, _, port = endpoint.rpartition(":")
-        connection = await asyncio.open_connection(host, int(port))
-        return await self._exchange(
-            endpoint, connection, method, path, body, extra_headers, pooled=pooled
-        )
+        answer = None
+        idle = self._idle.get(endpoint) if pooled else None
+        while idle and answer is None:
+            connection = idle.pop()
+            if _closed_by_replica(connection):
+                connection[1].close()
+                continue
+            try:
+                answer = await self._exchange(
+                    endpoint, connection, method, path, body, extra_headers
+                )
+            except _Unanswered:
+                break
+        if answer is None:
+            host, _, port = endpoint.rpartition(":")
+            connection = await asyncio.open_connection(host, int(port))
+            answer = await self._exchange(
+                endpoint, connection, method, path, body, extra_headers, pooled=pooled
+            )
+        status, blob = answer
+        if raw:
+            return status, blob.decode("utf-8", "replace")
+        try:
+            return status, json.loads(blob.decode("utf-8"))
+        except ValueError:
+            return status, {"error": blob.decode("utf-8", "replace")}
 
     async def _exchange(
         self,
@@ -631,10 +627,26 @@ class Router(HttpFrontEnd):
             writer.close()
             raise
         if pooled and response_headers.get("connection", "").lower() != "close":
-            self._idle.setdefault(endpoint, []).append(connection)
+            self._park(endpoint, connection)
         else:
             writer.close()
         return int(parts[1]), blob
+
+    def _park(self, endpoint: str, connection: _Connection) -> None:
+        """Put ``connection`` back in ``endpoint``'s idle pool.
+
+        Pooled connections the replica has closed meanwhile are closed and
+        dropped here: left in the pool, each would hold a half-closed
+        socket until a request happened to pop it.
+        """
+        idle = self._idle.setdefault(endpoint, [])
+        kept = []
+        for pooled in idle:
+            if _closed_by_replica(pooled):
+                pooled[1].close()
+            else:
+                kept.append(pooled)
+        idle[:] = kept + [connection]
 
     async def _drop_pool(self, endpoint: str) -> None:
         """Close every idle connection to ``endpoint``."""
@@ -656,10 +668,8 @@ class Router(HttpFrontEnd):
 
         async def _probe(member: str, endpoint: str) -> None:
             try:
-                status, payload = _decoded(
-                    await asyncio.wait_for(
-                        self._http_request(endpoint, "GET", "/healthz"), IO_TIMEOUT
-                    )
+                status, payload = await asyncio.wait_for(
+                    self._http_request(endpoint, "GET", "/healthz"), IO_TIMEOUT
                 )
                 replicas[member] = payload if status == 200 else {
                     "status": f"error {status}"
@@ -698,10 +708,8 @@ class Router(HttpFrontEnd):
                 "restarts": int(restarts.get(member, 0)),
             }
             try:
-                status, payload = _decoded(
-                    await asyncio.wait_for(
-                        self._http_request(endpoint, "GET", "/stats"), IO_TIMEOUT
-                    )
+                status, payload = await asyncio.wait_for(
+                    self._http_request(endpoint, "GET", "/stats"), IO_TIMEOUT
                 )
                 if status == 200:
                     per_replica[member] = {**identity, **payload}
@@ -758,15 +766,15 @@ class Router(HttpFrontEnd):
 
         async def _scrape(member: str, endpoint: str) -> None:
             try:
-                status, blob = await asyncio.wait_for(
-                    self._http_request(endpoint, "GET", "/metrics"), IO_TIMEOUT
+                status, text = await asyncio.wait_for(
+                    self._http_request(endpoint, "GET", "/metrics", raw=True),
+                    IO_TIMEOUT,
                 )
             except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError):
                 return
-            if status != 200:
+            if status != 200 or not isinstance(text, str):
                 return
             try:
-                text = blob.decode("utf-8", "replace")
                 scraped[member] = parse_prometheus_text(text)
             except ValueError:
                 return
@@ -799,23 +807,7 @@ class Router(HttpFrontEnd):
         return 200, self._registry.render(extra_samples=extra)
 
 
-def _with_served_by(blob: bytes, member: str) -> bytes:
-    """A replica's JSON object ``blob`` with ``"served_by": member`` appended:
-    the bytes ``json.dumps`` writes for the decoded object with that field
-    set last."""
-    field = b'"served_by": ' + json.dumps(member).encode("utf-8")
-    return blob[:-1] + (b", " if blob != b"{}" else b"") + field + b"}"
-
-
-def _json_payload(blob: bytes) -> Any:
-    """A replica's JSON body decoded (an undecodable one as an error object)."""
-    try:
-        return json.loads(blob.decode("utf-8"))
-    except ValueError:
-        return {"error": blob.decode("utf-8", "replace")}
-
-
-def _decoded(response: Tuple[int, bytes]) -> Tuple[int, Any]:
-    """``(status, decoded JSON body)`` of an :meth:`Router._http_request`."""
-    status, blob = response
-    return status, _json_payload(blob)
+def _closed_by_replica(connection: _Connection) -> bool:
+    """Whether the replica closed an idle pooled connection."""
+    reader, writer = connection
+    return reader.at_eof() or writer.is_closing()

@@ -145,8 +145,15 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Lookup / store
     # ------------------------------------------------------------------
-    def get(self, key: CacheKey) -> Optional[Dict[str, Any]]:
-        """The cached payload for ``key``, or ``None`` (counted as a miss)."""
+    def get(
+        self, key: CacheKey, *, count_miss: bool = True
+    ) -> Optional[Dict[str, Any]]:
+        """The cached payload for ``key``, or ``None`` (counted as a miss).
+
+        ``count_miss=False`` counts a hit but not a miss: a probe whose
+        caller goes on to a counted ``get`` when it misses, so each
+        request counts one miss.
+        """
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry.expires_at is not None:
@@ -157,22 +164,12 @@ class ResultCache:
                     self._stats.bytes_expired += entry.size
                     entry = None
             if entry is None:
-                self._stats.misses += 1
+                if count_miss:
+                    self._stats.misses += 1
                 self._stats.entries = len(self._entries)
                 return None
             self._entries.move_to_end(key)
             self._stats.hits += 1
-            return entry.payload
-
-    def peek(self, key: CacheKey) -> Optional[Dict[str, Any]]:
-        """The live payload for ``key`` (``None`` when absent or expired),
-        without counting a lookup or moving the entry in the LRU order."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or (
-                entry.expires_at is not None and self._clock() >= entry.expires_at
-            ):
-                return None
             return entry.payload
 
     def put(self, key: CacheKey, payload: Dict[str, Any]) -> bool:

@@ -22,8 +22,8 @@ connection from the client's pool (or opens one) and returns it after a
 complete response, so one client serves any number of threads.  A
 reused connection the server closed in the meantime (its idle timeout,
 or a restart) fails before any response byte; the request is then sent
-once more on a fresh connection, except an :meth:`ServiceClient.update`,
-which is never sent twice.
+once more on a fresh connection.  An :meth:`ServiceClient.update` is
+never sent twice: it goes out once, on a fresh connection.
 """
 
 from __future__ import annotations
@@ -250,18 +250,19 @@ class ServiceClient:
         fingerprint, version, ``incremental`` flag, invalidation counts).
 
         Deliberately *never sent twice*, unlike every other endpoint: not
-        on 429, and not when a reused connection fails before any
-        response byte (that error propagates).  An update is not
-        idempotent (an ``add-edge`` without a pinned ``edge_id``
-        allocates a fresh id per application), and neither failure says
-        whether it was applied.  A 403 (read-only replica) surfaces as a
+        on 429, and not after a connection failure (that error
+        propagates).  It goes out on a fresh connection, which cannot
+        have gone stale while idle.  An update is not idempotent (an
+        ``add-edge`` without a pinned ``edge_id`` allocates a fresh id
+        per application), and neither failure says whether it was
+        applied.  A 403 (read-only replica) surfaces as a
         :class:`ServiceError`.
         """
         return self._request_once(
             "POST",
             "/update",
             {"graph": graph, "delta": _delta_dict(delta)},
-            resend=False,
+            pooled=False,
         )
 
     # ------------------------------------------------------------------
@@ -304,25 +305,30 @@ class ServiceClient:
         body: Optional[Dict[str, Any]] = None,
         *,
         extra_headers: Optional[Dict[str, str]] = None,
-        resend: bool = True,
+        pooled: bool = True,
     ) -> Any:
-        """One exchange on a kept-alive connection.
+        """One exchange, on a kept-alive connection from the pool.
 
-        With ``resend``, a reused connection that fails before any
-        response byte is replaced by a fresh one and the request sent
-        once more.
+        A reused connection that fails before any response byte is
+        replaced by a fresh one and the request sent once more.
+        ``pooled=False`` sends the request once, on a fresh connection
+        that closes after the response.
         """
         blob = json.dumps(body).encode("utf-8") if body is not None else None
         headers = {"Content-Type": "application/json"} if blob else {}
         if extra_headers:
             headers.update(extra_headers)
-        connection, reused = self._checkout()
+        if pooled:
+            connection, reused = self._checkout()
+        else:
+            connection, reused = self._connect(), False
+            headers["Connection"] = "close"
         try:
             try:
                 connection.request(method, path, body=blob, headers=headers)
                 response = connection.getresponse()
             except ConnectionError:
-                if not (reused and resend):
+                if not reused:
                     raise
                 connection.close()
                 connection = self._connect()
@@ -335,8 +341,7 @@ class ServiceClient:
         if response.will_close:
             connection.close()
         else:
-            with self._idle_lock:
-                self._idle.append(connection)
+            self._checkin(connection)
         text = raw.decode("utf-8", "replace")
         content_type = response.getheader("Content-Type", "")
         if response.status == 200 and not content_type.startswith(
@@ -372,6 +377,20 @@ class ServiceClient:
             if not _closed_by_peer(connection):
                 return connection, True
             connection.close()
+
+    def _checkin(self, connection: http.client.HTTPConnection) -> None:
+        """Put ``connection`` back in the idle pool.
+
+        Pooled connections the server has closed meanwhile are closed and
+        dropped here: left in the pool, each would hold a half-closed
+        socket until a call happened to pop it.
+        """
+        with self._idle_lock:
+            kept, stale = [], []
+            for idle in self._idle:
+                (stale if _closed_by_peer(idle) else kept).append(idle)
+            self._idle[:] = kept + [connection]
+        _close_all(stale)
 
 
 def _close_all(connections: List[http.client.HTTPConnection]) -> None:

@@ -22,10 +22,11 @@ benchmark's parity gate enforces.
 A query is answered in two steps.  :meth:`ReliabilityService.lookup`
 prepares it and probes the memory tier: it never touches sqlite, never
 evaluates and takes no lock that is held across either, so the HTTP
-server runs it on its event loop and answers a hit there.  On a miss,
-:meth:`ReliabilityService.query` continues with the shared tier and then
-evaluation.  A cache miss is evaluated on the thread that asked for it
-(an HTTP executor thread, or whoever called
+server runs it on its event loop and answers a hit there.  A miss counts
+nothing yet: :meth:`ReliabilityService.query` continues it where the
+request is admitted, counts the request, and tries the memory tier, the
+shared tier, then evaluation.  A cache miss is evaluated on the thread
+that asked for it (an HTTP executor thread, or whoever called
 :meth:`ReliabilityService.query`) under the service's update lock, so
 evaluations are serialized against each other and against
 :meth:`ReliabilityService.update`, and the request's own trace records
@@ -216,31 +217,37 @@ class ReliabilityService:
     ) -> Tuple[Optional[Dict[str, Any]], Optional["ReliabilityService._Request"]]:
         """Answer ``query`` from the memory tier, or prepare its continuation.
 
-        Counts the request, parses the query and probes the memory cache;
-        it never touches sqlite, never evaluates, and reads the catalog
-        entry without the catalog's lock, so it does not block behind an
-        evaluation or a delta.  Returns ``(response, None)`` on a hit and
-        ``(None, pending)`` on a miss: passing ``pending`` to
-        :meth:`query` as its ``query`` continues with the shared tier and
-        evaluation without counting the request (or the memory miss)
-        again.  A hit's response shares the cached payload's nested
-        dicts — encode it, do not mutate it (:meth:`query` returns a deep
-        copy).  Errors re-raise as in :meth:`query`.
+        Parses the query and probes the memory cache; it never touches
+        sqlite, never evaluates, and reads the catalog entry without the
+        catalog's lock, so it does not block behind an evaluation or a
+        delta.  A hit counts the request and the hit and returns
+        ``(response, None)``.  A miss counts nothing and returns
+        ``(None, pending)``: passing ``pending`` to :meth:`query` as its
+        ``query`` counts the request and continues from the memory tier,
+        so a request shed before that counts nowhere here.  A hit's
+        response shares the cached payload's nested dicts — encode it, do
+        not mutate it (:meth:`query` returns a deep copy).  Errors count
+        the request and re-raise as in :meth:`query`.
         """
         started = time.perf_counter()
-        with self._stats_lock:
-            self._stats.requests += 1
         try:
             with span("service.lookup"):
                 request = self._prepare(graph, query, started)
-                payload = self._memory_get(request.key)
+                payload = (
+                    self._cache.get(request.key, count_miss=False)
+                    if self._cache is not None
+                    else None
+                )
         except Exception:
             with self._stats_lock:
+                self._stats.requests += 1
                 self._stats.errors += 1
             raise
         if payload is None:
             return None, request
-        self._count_hit("memory")
+        with self._stats_lock:
+            self._stats.requests += 1
+            self._stats.cache_hits += 1
         response = self._answer(
             payload, tier="memory", graph=graph, request=request, timings=timings
         )
@@ -262,7 +269,7 @@ class ReliabilityService:
         on expiry).  Evaluation errors (unknown graph, invalid
         terminals, ...) re-raise here — the HTTP layer maps them to 4xx
         responses.  ``query`` may also be the ``pending`` half of a
-        :meth:`lookup` miss, which continues below the memory tier.
+        :meth:`lookup` miss, which this continues from the memory tier.
 
         With ``timings=True`` and an active trace (see
         :func:`repro.obs.trace.activate`) the response carries an
@@ -277,6 +284,8 @@ class ReliabilityService:
             response, request = self.lookup(graph, query, timings=timings)
             if request is None:
                 return copy.deepcopy(response)
+        with self._stats_lock:
+            self._stats.requests += 1
         try:
             payload, tier = self._lookup(request.key)
             if payload is not None:
@@ -326,9 +335,7 @@ class ReliabilityService:
         for position, request in enumerate(requests):
             if request is None:
                 continue
-            payload, tier = self._memory_get(request.key), "memory"
-            if payload is None:
-                payload, tier = self._lookup(request.key)
+            payload, tier = self._lookup(request.key)
             if payload is not None:
                 self._count_hit(tier)
                 outcomes[position] = copy.deepcopy(
@@ -472,18 +479,18 @@ class ReliabilityService:
         )
         return self._Request(query, key, started)
 
-    def _memory_get(self, key: Any) -> Optional[Dict[str, Any]]:
-        """The memory tier's payload for ``key`` (``None`` on a miss)."""
-        return self._cache.get(key) if self._cache is not None else None
-
     def _lookup(self, key: Any):
-        """``(payload, "shared")`` from the shared store, else ``(None, None)``.
+        """``(payload, tier)`` from memory then the shared store, else ``(None, None)``.
 
-        The tier below memory.  A hit is promoted into the memory cache so
-        repeats in this process stay off sqlite.
+        A shared-store hit is promoted into the memory cache so repeats in
+        this process stay off sqlite.
         """
+        if self._cache is not None:
+            payload = self._cache.get(key)
+            if payload is not None:
+                return payload, "memory"
         if self._store is not None:
-            with span("service.lookup"):
+            with span("service.store_lookup"):
                 payload = self._store.get(key)
             if payload is not None:
                 if self._cache is not None:
@@ -562,8 +569,7 @@ class ReliabilityService:
         """Evaluate one query on the graph's shared engine, on this thread.
 
         Runs ``engine.query(query, seed_index=0)`` and stores the payload
-        in both cache tiers before returning it, unless the memory tier
-        already holds the answer by then.  Holds the update lock
+        in both cache tiers before returning it.  Holds the update lock
         end to end (waiting at most ``timeout`` seconds for it), and keys
         the cache writes by the fingerprint read *inside* it, not the one
         the request was looked up under: a delta landing between lookup
@@ -576,17 +582,6 @@ class ReliabilityService:
         try:
             engine = self._catalog.engine(graph)
             fingerprint = self._catalog.entry(graph).fingerprint
-            key = cache_key(
-                fingerprint, query.canonical_key(), self._config_fingerprint
-            )
-            if self._cache is not None:
-                # An identical request may have finished evaluating after
-                # this one missed the memory tier (the HTTP server probes
-                # it on the event loop, before an evaluation thread picks
-                # the request up): answer with that payload.
-                finished = self._cache.peek(key)
-                if finished is not None:
-                    return finished
             before = engine.stats.queries_served
             try:
                 result = engine.query(query, seed_index=0)
@@ -605,6 +600,9 @@ class ReliabilityService:
                 "checksum": results_checksum([result]),
                 "result": result.to_dict(),
             }
+            key = cache_key(
+                fingerprint, query.canonical_key(), self._config_fingerprint
+            )
             if self._cache is not None:
                 self._cache.put(key, payload)
             if self._store is not None:

@@ -83,8 +83,7 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
-#: ``(status, payload)``: a JSON-able payload, ``str`` for Prometheus text,
-#: or ``bytes`` already encoded as JSON (a body the router relays as is).
+#: ``(status, payload)``: a JSON-able payload, or ``str`` for Prometheus text.
 Response = Tuple[int, Any]
 #: A route's handler: ``await handler(body, headers)``.
 Handler = Callable[[bytes, Dict[str, str]], Awaitable[Response]]
@@ -410,14 +409,10 @@ def _expire_reads(reader: asyncio.StreamReader) -> asyncio.TimerHandle:
 
 
 def _encode_response(status: int, payload: Any, *, keep_alive: bool = False) -> bytes:
-    """The wire bytes of one response: JSON (``bytes`` pass through as
-    encoded JSON), or Prometheus text for a ``str``."""
+    """The wire bytes of one response: JSON, or Prometheus text for a ``str``."""
     if isinstance(payload, str):  # text exposition (/metrics)
         blob = payload.encode("utf-8")
         content_type = PROMETHEUS_CONTENT_TYPE
-    elif isinstance(payload, bytes):  # JSON relayed as received
-        blob = payload
-        content_type = "application/json"
     else:
         blob = json.dumps(payload, default=repr).encode("utf-8")
         content_type = "application/json"

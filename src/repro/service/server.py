@@ -224,7 +224,8 @@ class ServiceServer(HttpFrontEnd):
             if "query" not in payload:
                 return 400, {"error": "missing 'query' field"}
             # The memory tier answers here, on the loop: a hit takes no
-            # admission slot and never waits for an evaluation thread.
+            # admission slot and never waits for an evaluation thread.  A
+            # miss is counted only once admitted, by the continuation.
             try:
                 response, pending = run_with_trace(
                     trace,

@@ -10,6 +10,7 @@ holding one in-process replica, so no subprocess is needed.
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import select
@@ -360,7 +361,7 @@ def test_close_ends_open_connections():
         server.close()
 
 
-def test_untraced_query_relays_the_replica_bytes(frontends):
+def test_routed_query_is_the_replica_answer_plus_served_by(frontends):
     """The router appends served_by to the replica's body and changes nothing else."""
     for port in (frontends["service"].port, frontends["router"].port):  # warm the cache
         _exchange(port, _query_request((2, 33)))
@@ -468,7 +469,8 @@ def test_client_reuses_one_connection(query_payload):
                                      "probability": 0.5})
     finally:
         server.close()
-    assert server.requests == [(0, "/healthz"), (0, "/query"), (0, "/update")]
+    # An update always goes out on a fresh connection of its own.
+    assert server.requests == [(0, "/healthz"), (0, "/query"), (1, "/update")]
 
 
 def test_query_on_a_dropped_connection_is_resent_on_a_fresh_one(query_payload):
@@ -493,7 +495,7 @@ def test_update_on_a_dropped_connection_is_never_resent(query_payload):
                 client.update("karate", delta)
     finally:
         server.close()
-    assert server.requests == [(0, "/healthz"), (0, "/update")]
+    assert server.requests == [(0, "/healthz"), (1, "/update")]
 
 
 def test_client_pool_is_shared_safely_across_threads(frontends):
@@ -571,6 +573,53 @@ def test_router_skips_a_connection_the_replica_closed(frontends, monkeypatch):
     assert router.stats().failovers == before.failovers
 
 
+def test_router_pool_drops_connections_the_replica_closed(frontends, monkeypatch):
+    """After a burst, the pool's extra connections go stale while one stays
+    busy; returning the busy one closes and drops them."""
+    monkeypatch.setattr(frontend_module, "IO_TIMEOUT", 0.2)
+    router = frontends["router"]
+    endpoint = frontends["service"].address
+
+    def on_loop(coroutine):
+        return asyncio.run_coroutine_threadsafe(coroutine, router._loop).result(10)
+
+    async def burst():
+        await asyncio.gather(
+            *(router._http_request(endpoint, "GET", "/healthz") for _ in range(4))
+        )
+
+    on_loop(burst())
+    pooled = list(router._idle[endpoint])
+    assert len(pooled) >= 4
+    deadline = time.monotonic() + 1.0
+    while time.monotonic() < deadline:  # one connection stays in use
+        on_loop(router._http_request(endpoint, "GET", "/healthz"))
+        time.sleep(0.05)
+    idle = router._idle[endpoint]
+    assert len(idle) == 1
+    assert all(
+        writer.is_closing() for reader, writer in pooled if (reader, writer) not in idle
+    )
+
+
+def test_client_pool_drops_connections_the_server_closed(frontends, monkeypatch):
+    monkeypatch.setattr(frontend_module, "IO_TIMEOUT", 0.2)
+    with ServiceClient(port=frontends["service"].port) as client:
+        burst = [client._connect() for _ in range(4)]  # as four threads would
+        for connection in burst:
+            connection.request("GET", "/healthz")
+            connection.getresponse().read()
+            client._checkin(connection)
+        assert len(client._idle) == 4
+        deadline = time.monotonic() + 1.0
+        while time.monotonic() < deadline:  # one connection stays in use
+            client.healthz()
+            time.sleep(0.05)
+        idle = list(client._idle)
+    assert len(idle) == 1
+    assert all(connection.sock is None for connection in burst if connection not in idle)
+
+
 # ----------------------------------------------------------------------
 # Memory-tier hits are answered on the replica's event loop
 # ----------------------------------------------------------------------
@@ -613,6 +662,38 @@ def test_hit_answers_while_the_evaluation_slot_is_held(one_slot, frontend):
                 client.query("karate", KTerminalQuery(terminals=(3, 20)))
     holder.join(timeout=15)
     assert hit.cached
+    assert not holder.is_alive()
+
+
+@pytest.mark.parametrize("frontend", ["service", "router"])
+def test_shed_query_counts_only_as_rejected(one_slot, frontend):
+    """A query shed with 429 moves neither the service's requests nor the
+    cache's misses: the memory probe before admission counts no miss."""
+    core, server = one_slot["core"], one_slot["service"]
+    port = one_slot[frontend].port
+
+    def counts():
+        stats = core.stats()
+        return stats["service"]["requests"], stats["cache"]["misses"]
+
+    def miss() -> None:
+        with ServiceClient(port=port) as client:
+            client.query("karate", KTerminalQuery(terminals=(2, 30)))
+
+    holder = threading.Thread(target=miss)
+    with core._update_lock:  # the admitted miss blocks before evaluating
+        holder.start()
+        deadline = time.monotonic() + 10
+        while counts() != (1, 1):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        rejected = server._admission_snapshot().rejected
+        with ServiceClient(port=port) as client:
+            with pytest.raises(ServiceOverloadedError):
+                client.query("karate", KTerminalQuery(terminals=(3, 20)))
+        assert counts() == (1, 1)
+        assert server._admission_snapshot().rejected == rejected + 1
+    holder.join(timeout=15)
     assert not holder.is_alive()
 
 

@@ -450,6 +450,17 @@ class TestServiceTimings:
                 <= wait.start_offset + wait.wall_seconds
             )
 
+    def test_traced_miss_names_each_probe_once(self, tmp_path):
+        """The memory probe and the shared-tier probe are distinct spans."""
+        catalog = GraphCatalog(EstimatorConfig(backend="sampling", samples=200, rng=7))
+        catalog.register("karate", load_dataset("karate"))
+        trace = new_trace()
+        with SharedResultStore(str(tmp_path / "shared.sqlite")) as store:
+            with ReliabilityService(catalog, store=store) as service, activate(trace):
+                service.query("karate", KTerminalQuery(terminals=(1, 34)))
+        names = [item.name for item in trace.spans() if item.name.startswith("service.")]
+        assert names == ["service.lookup", "service.store_lookup", "service.wait"]
+
     def test_timings_absent_without_trace_and_checksum_stable(self, obs_service):
         service = obs_service
         query = KTerminalQuery(terminals=(2, 30))

@@ -646,13 +646,17 @@ class TestReliabilityService:
         assert current_entry["checksum"] == answer["checksum"]
 
     def test_lookup_hit_counts_once_and_miss_continues(self, catalog):
+        """A miss counts nothing until its continuation runs."""
         query = KTerminalQuery(terminals=(1, 34))
         with ReliabilityService(catalog) as service:
             response, pending = service.lookup("karate", query)
             assert response is None
+            uncounted = service.stats()
             computed = service.query("karate", pending)
             hit, none = service.lookup("karate", query)
             stats = service.stats()
+        assert uncounted["service"]["requests"] == 0
+        assert uncounted["cache"]["misses"] == 0
         assert none is None
         assert (computed["cached"], hit["cached"]) == (False, True)
         assert hit["checksum"] == computed["checksum"]
@@ -662,7 +666,8 @@ class TestReliabilityService:
 
     def test_miss_reuses_an_answer_finished_after_it_missed(self, catalog):
         """The memory probe runs before an evaluation thread picks the
-        request up; an identical request finishing meanwhile is reused."""
+        request up; an identical request finishing meanwhile answers the
+        continuation as a counted memory hit."""
         query = KTerminalQuery(terminals=(1, 34))
         with ReliabilityService(catalog) as service:
             _, pending = service.lookup("karate", query)
@@ -670,8 +675,11 @@ class TestReliabilityService:
             second = service.query("karate", pending)
             stats = service.stats()
         assert second["checksum"] == first["checksum"]
+        assert (second["cached"], second["cache_tier"]) == (True, "memory")
+        assert stats["service"]["requests"] == 2
+        assert stats["service"]["cache_hits"] == 1
         assert stats["service"]["engine_evaluations"] == 1
-        assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (0, 2)
+        assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (1, 1)
 
     def test_close_refuses_misses_but_serves_hits(self, catalog):
         service = ReliabilityService(catalog)
