@@ -388,7 +388,10 @@ class ServiceClient:
         with self._idle_lock:
             kept, stale = [], []
             for idle in self._idle:
-                (stale if _closed_by_peer(idle) else kept).append(idle)
+                if _closed_by_peer(idle):
+                    stale.append(idle)
+                else:
+                    kept.append(idle)
             self._idle[:] = kept + [connection]
         _close_all(stale)
 
