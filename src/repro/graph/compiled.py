@@ -24,8 +24,8 @@ into flat integer form and lets the hot loops run over it many times:
   draws the *same* uniforms in the *same* order as the historical
   samplers (one per non-loop edge, in edge order) and produces the exact
   per-world component labellings the dict-based path produced, so every
-  downstream result stays bit-identical (``benchmarks/bench_kernel.py``
-  enforces this with parity checksums).
+  downstream result stays bit-identical (the kernel gate of
+  ``benchmarks/gates.py`` enforces this with parity checksums).
 
 Compiled forms are cached per graph (:func:`compile_graph`), keyed by a
 fingerprint over topology *and* edge probabilities, so "compile once,

@@ -26,7 +26,10 @@ for timing-requesting bodies, so ``timings`` works standalone too.
 A ``/query`` is first looked up in the memory tier on the event loop
 (:meth:`~repro.service.core.ReliabilityService.lookup`, which never
 touches sqlite or the engine), and a hit is answered there: it takes no
-admission slot and never waits behind an evaluation.  Everything else —
+admission slot and never waits behind an evaluation.  ``/graphs``,
+``/stats`` and ``/metrics`` run on the loop's default executor, since
+they may wait for a delta in progress or for the shared store's sqlite
+calls; ``/healthz`` stays on the loop.  Everything else —
 a memory miss (shared tier, then evaluation), ``/query_batch`` and
 ``/update`` — runs on a bounded thread pool (``max_inflight`` threads)
 so the loop never blocks on engine work; a miss is evaluated on the
@@ -162,17 +165,21 @@ class ServiceServer(HttpFrontEnd):
     async def _healthz(self, body: bytes, headers: Dict[str, str]) -> Response:
         return 200, {"status": "ok", "graphs": len(self._service.catalog.names())}
 
+    # The three introspection routes read the catalog and the shared
+    # store off the loop: a delta holds the catalog's lock for its whole
+    # length, and the store's lock is held across sqlite calls.
     async def _graphs(self, body: bytes, headers: Dict[str, str]) -> Response:
-        return 200, {"graphs": self._service.describe_graphs()}
+        graphs = await asyncio.to_thread(self._service.describe_graphs)
+        return 200, {"graphs": graphs}
 
     async def _stats(self, body: bytes, headers: Dict[str, str]) -> Response:
-        stats = self._service.stats()
+        stats = await asyncio.to_thread(self._service.stats)
         stats["admission"] = asdict(self._admission_snapshot())
         return 200, stats
 
     async def _metrics(self, body: bytes, headers: Dict[str, str]) -> Response:
         """The ``GET /metrics`` text: registry + the ``/stats`` counters."""
-        samples = self._service.metric_samples()
+        samples = await asyncio.to_thread(self._service.metric_samples)
         samples += stats_samples("repro_admission", self._admission_snapshot())
         return 200, self._registry.render(extra_samples=samples)
 

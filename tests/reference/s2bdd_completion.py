@@ -5,9 +5,10 @@ this module keeps the dict-based loop it replaced, which seeds a
 hashable-element :class:`~repro.utils.union_find.UnionFind` with one
 ``("component", label)`` anchor per frontier component and draws one
 uniform per remaining edge, in plan order.  It is a test and benchmark
-reference only: the parity tests and ``benchmarks/bench_kernel.py``
-require the kernel to return the same ``(connected, log_conditional,
-chosen)`` tuple and to leave the random stream in the same state.
+reference only: the parity tests and the kernel gate of
+``benchmarks/gates.py`` require the kernel to return the same
+``(connected, log_conditional, chosen)`` tuple and to leave the random
+stream in the same state.
 
 ``dict_sample_completion(bdd, stratum, rng, track_world=...)`` has the
 signature of ``S2BDD._sample_completion`` with the diagram passed first.

@@ -4,9 +4,10 @@
 state ids; this module keeps the readable loop it replaced, which keys each
 layer by nested ``(partition, flags)`` tuples and steps every branch through
 the reference transition :func:`tests.reference.exact_bdd_loop.apply`.  It is
-a test reference only: the parity tests and ``benchmarks/bench_kernel.py``
-require the product construction to match it bit for bit (same branch
-order, same Kahan additions, same priority-sort trigger, same deletions).
+a test reference only: the parity tests and the kernel gate of
+``benchmarks/gates.py`` require the product construction to match it bit
+for bit (same branch order, same Kahan additions, same priority-sort
+trigger, same deletions).
 
 ``dict_construct(bdd, samples)`` has the signature of ``S2BDD.construct``
 without the exact baseline's ``max_nodes`` budget, so it can be called

@@ -4,8 +4,8 @@
 whole-column integer operations over packed label columns; this module keeps
 the row-by-row Python loops those scans replaced, reading one label tuple per
 world (``pool.labels``).  It is a test and benchmark reference only: the
-pool tests and ``benchmarks/bench_kernel.py`` require the pool's floats and
-``ThresholdScan`` tuples to equal these exactly.
+pool tests and the kernel gate of ``benchmarks/gates.py`` require the pool's
+floats and ``ThresholdScan`` tuples to equal these exactly.
 
 ``rows`` is a sequence of per-world label tuples; vertices are given by
 their positions in graph iteration order.

@@ -820,6 +820,67 @@ class TestHttpEndToEnd:
         finally:
             service.stats = original
 
+    @pytest.mark.parametrize("path", ["/stats", "/graphs", "/metrics"])
+    def test_introspection_during_a_delta_does_not_stall_hits(self, karate, path):
+        """``GraphCatalog.update`` holds the catalog lock across a whole
+        delta.  A GET that waits for it must not hold up a cached /query
+        on another connection, and answers once the delta is done."""
+
+        class HeldLock:
+            """The catalog lock, held by the test; reports a waiting reader."""
+
+            def __init__(self):
+                self.inner = threading.Lock()
+                self.waited = threading.Event()
+
+            def __enter__(self):
+                self.waited.set()
+                self.inner.acquire()
+
+            def __exit__(self, *exc_info):
+                self.inner.release()
+
+        import http.client
+
+        catalog = GraphCatalog(EstimatorConfig(backend="sampling", samples=200, rng=7))
+        catalog.register("karate", karate)
+        service = ReliabilityService(catalog)
+        server = ServiceServer(service, port=0).start_background()
+        query = KTerminalQuery(terminals=(3, 20))
+        statuses = []
+
+        def introspect():
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", server.port, timeout=30
+            )
+            try:
+                connection.request("GET", path)
+                statuses.append(connection.getresponse().status)
+            finally:
+                connection.close()
+
+        try:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                assert not client.query("karate", query).cached
+            held = catalog._lock = HeldLock()
+            held.inner.acquire()  # a delta in progress
+            reader = threading.Thread(target=introspect)
+            try:
+                reader.start()
+                held.waited.wait(timeout=5)
+                started = time.perf_counter()
+                with ServiceClient("127.0.0.1", server.port, timeout=1.0) as client:
+                    assert client.query("karate", query).cached
+                assert time.perf_counter() - started < 1.0
+            finally:
+                held.inner.release()
+                reader.join(timeout=30)
+            assert not reader.is_alive()
+            assert statuses == [200]
+        finally:
+            server.close()
+            service.close()
+
     def test_stream_counters_are_unchanged(self, karate, tmp_path):
         """A fixed stream over HTTP — hits of both tiers, misses, errors, a
         delta and a batch — leaves the counters it left when every request
