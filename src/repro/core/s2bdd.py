@@ -42,15 +42,34 @@ no priority sort, every edge probability strictly inside ``(0, 1)``).
 :meth:`S2BDD.resweep` pushes new edge probabilities through that recording
 without re-deriving any state, which is what lets probability-only graph
 deltas reuse a cached diagram's structure.
+
+The strata of one construction live in a :class:`StrataTable`: flat
+``array`` columns (layer, probability, packed partition labels and
+terminal counts with their row offsets) that construction appends to and
+the sampler reads, so a width-capped diagram that deleted thousands of
+nodes holds a handful of untracked buffers, not one object per stratum.
+The table is a read-only sequence of :class:`Stratum` rows, built only
+when a row is indexed or iterated.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, repeat, starmap
-from operator import lt
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from operator import index as as_index, lt
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.bounds import ReliabilityBounds
 from repro.core.estimators import EstimatorKind
@@ -63,7 +82,7 @@ from repro.utils.kahan import KahanSum
 from repro.utils.rng import RandomLike, resolve_rng
 from repro.utils.validation import check_non_negative_int, check_positive_int
 
-__all__ = ["S2BDD", "S2BDDResult", "Stratum"]
+__all__ = ["S2BDD", "S2BDDResult", "StrataTable", "Stratum"]
 
 Vertex = Hashable
 
@@ -88,6 +107,10 @@ _MAX_BYTES_KEY_FRONTIER = 253
 class Stratum:
     """A deleted S²BDD node, i.e. one sampling subgroup.
 
+    Constructions store strata as rows of a :class:`StrataTable`; a
+    ``Stratum`` is the row built on demand when the table is indexed or
+    iterated.
+
     Attributes
     ----------
     layer:
@@ -105,6 +128,115 @@ class Stratum:
     partition: Tuple[int, ...]
     terminal_counts: Tuple[int, ...]
     probability: float
+
+
+class StrataTable(Sequence[Stratum]):
+    """The strata of one construction, one row per deleted node, in columns.
+
+    ``layers`` and ``probabilities`` hold one value per row.  ``labels``
+    and ``counts`` pack every row's partition labels and terminal counts
+    back to back; row ``i`` spans ``labels[label_offsets[i]:label_offsets[i + 1]]``
+    (likewise for counts).  The packed columns are one byte per value
+    (``array('B')``) until a value needs more — a frontier wider than 256
+    vertices, or more than 255 terminals — and are then widened to
+    ``array('I')`` once.  None of the columns is a container the garbage
+    collector tracks, however many strata a construction deletes.
+
+    Rows are appended during construction and never change afterwards.
+    As a sequence the table is read-only: indexing or iterating builds a
+    :class:`Stratum` per row, and a slice returns a new table.
+    """
+
+    __slots__ = (
+        "layers",
+        "probabilities",
+        "labels",
+        "label_offsets",
+        "counts",
+        "count_offsets",
+    )
+
+    def __init__(self, strata: Iterable[Stratum] = ()) -> None:
+        self.layers = array("I")
+        self.probabilities = array("d")
+        self.labels = array("B")
+        self.label_offsets = array("I", [0])
+        self.counts = array("B")
+        self.count_offsets = array("I", [0])
+        for stratum in strata:
+            self.append(
+                stratum.layer,
+                stratum.partition,
+                stratum.terminal_counts,
+                stratum.probability,
+            )
+
+    def append(
+        self,
+        layer: int,
+        partition: Sequence[int],
+        terminal_counts: Sequence[int],
+        probability: float,
+    ) -> None:
+        """Add one stratum as the last row."""
+        self.layers.append(layer)
+        self.probabilities.append(probability)
+        self.labels = _extend_packed(self.labels, partition)
+        self.label_offsets.append(len(self.labels))
+        self.counts = _extend_packed(self.counts, terminal_counts)
+        self.count_offsets.append(len(self.counts))
+
+    def partition(self, row: int) -> array:
+        """Row ``row``'s partition labels, as a fresh ``array``."""
+        offsets = self.label_offsets
+        return self.labels[offsets[row] : offsets[row + 1]]
+
+    def terminal_counts(self, row: int) -> array:
+        """Row ``row``'s per-component terminal counts, as a fresh ``array``."""
+        offsets = self.count_offsets
+        return self.counts[offsets[row] : offsets[row + 1]]
+
+    def __len__(self) -> int:
+        return len(self.layers)
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return StrataTable(map(self._stratum, range(*item.indices(len(self)))))
+        row = as_index(item)
+        size = len(self.layers)
+        if row < 0:
+            row += size
+        if not 0 <= row < size:
+            raise IndexError("strata index out of range")
+        return self._stratum(row)
+
+    def __iter__(self) -> Iterator[Stratum]:
+        return map(self._stratum, range(len(self.layers)))
+
+    def _stratum(self, row: int) -> Stratum:
+        return Stratum(
+            self.layers[row],
+            tuple(self.partition(row)),
+            tuple(self.terminal_counts(row)),
+            self.probabilities[row],
+        )
+
+
+def _extend_packed(column: array, values: Sequence[int]) -> array:
+    """Append ``values`` to a packed column and return the column.
+
+    A one-byte column that meets a value above 255 is replaced by an
+    ``array('I')`` copy; ``array.extend`` keeps the values it appended
+    before the overflow, so those are dropped before the copy.
+    """
+    size = len(column)
+    try:
+        column.extend(values)
+    except OverflowError:
+        del column[size:]
+        column = array("I", column)
+        column.extend(values)
+    return column
 
 
 @dataclass
@@ -244,12 +376,15 @@ class S2BDD:
             construction = self.construct(samples)
         bounds = construction.bounds
         strata = construction.strata
+        if not isinstance(strata, StrataTable):
+            # A construction from the dict-keyed reference loop lists them.
+            strata = StrataTable(strata)
 
         samples_reduced = reduced_sample_count(
             samples, bounds.connected_mass, bounds.disconnected_mass
         )
 
-        unresolved = sum(stratum.probability for stratum in strata)
+        unresolved = sum(strata.probabilities)
         if not strata or unresolved <= _EXACT_MASS_TOLERANCE:
             reliability = bounds.clamp(bounds.connected_mass)
             return S2BDDResult(
@@ -355,7 +490,7 @@ class S2BDD:
             p_d = max(0.0, 1.0 - p_c)
         return S2BDD._Construction(
             bounds=ReliabilityBounds(p_c, p_d),
-            strata=[],
+            strata=StrataTable(),
             peak_width=construction.peak_width,
             layers_processed=construction.layers_processed,
             deleted_mass=0.0,
@@ -370,7 +505,7 @@ class S2BDD:
     @dataclass
     class _Construction:
         bounds: ReliabilityBounds
-        strata: List[Stratum]
+        strata: StrataTable
         peak_width: int
         layers_processed: int
         deleted_mass: float
@@ -438,10 +573,14 @@ class S2BDD:
         )
 
         if k <= 1:
-            return S2BDD._Construction(ReliabilityBounds(1.0, 0.0), [], 0, 0, 0.0)
+            return S2BDD._Construction(
+                ReliabilityBounds(1.0, 0.0), StrataTable(), 0, 0, 0.0
+            )
         if plan.num_edges == 0:
             # Two or more terminals but no edges: never connected.
-            return S2BDD._Construction(ReliabilityBounds(0.0, 1.0), [], 0, 0, 0.0)
+            return S2BDD._Construction(
+                ReliabilityBounds(0.0, 1.0), StrataTable(), 0, 0, 0.0
+            )
 
         connected_mass = KahanSum()
         disconnected_mass = KahanSum()
@@ -449,7 +588,8 @@ class S2BDD:
         connected_add = connected_mass.add
         disconnected_add = disconnected_mass.add
         deleted_add = deleted_mass.add
-        strata: List[Stratum] = []
+        strata = StrataTable()
+        add_stratum = strata.append
 
         # Layer 0: the single root state (empty frontier, no components).
         parts: List[List[int]] = [[]]
@@ -647,13 +787,8 @@ class S2BDD:
                             false_arcs.append(next_width)
                             next_width += 1
                         else:
-                            strata.append(
-                                Stratum(
-                                    next_layer,
-                                    tuple(outcome[1]),
-                                    tuple(outcome[2]),
-                                    child_probability,
-                                )
+                            add_stratum(
+                                next_layer, outcome[1], outcome[2], child_probability
                             )
                             deleted_add(child_probability)
                             replay_ok = False
@@ -713,13 +848,8 @@ class S2BDD:
                             true_arcs.append(next_width)
                             next_width += 1
                         else:
-                            strata.append(
-                                Stratum(
-                                    next_layer,
-                                    tuple(outcome[1]),
-                                    tuple(outcome[2]),
-                                    child_probability,
-                                )
+                            add_stratum(
+                                next_layer, outcome[1], outcome[2], child_probability
                             )
                             deleted_add(child_probability)
                             replay_ok = False
@@ -776,14 +906,7 @@ class S2BDD:
         # their probability mass is still covered by sampling.
         for sid in range(len(masses)):
             probability = masses[sid]
-            strata.append(
-                Stratum(
-                    layers_processed,
-                    tuple(parts[sid]),
-                    tuple(cnts[sid]),
-                    probability,
-                )
-            )
+            add_stratum(layers_processed, parts[sid], cnts[sid], probability)
             deleted_add(probability)
 
         p_c = min(1.0, max(0.0, connected_mass.value))
@@ -809,7 +932,7 @@ class S2BDD:
     # ------------------------------------------------------------------
     def _sample_strata(
         self,
-        strata: Sequence[Stratum],
+        strata: StrataTable,
         unresolved_mass: float,
         bounds: ReliabilityBounds,
         samples: int,
@@ -826,30 +949,36 @@ class S2BDD:
         weights distinct completions by their inclusion probability within
         the unresolved population.
         """
+        probabilities = strata.probabilities
         cumulative: List[float] = []
         running = 0.0
-        for stratum in strata:
-            running += stratum.probability
+        for probability in probabilities:
+            running += probability
             cumulative.append(running)
         total = cumulative[-1]
 
         positives = 0
         ht_contributions: Dict[Tuple, Tuple[float, bool]] = {}
         want_ht = estimator is EstimatorKind.HORVITZ_THOMPSON
+        sample = self._completion_kernel().sample
+        layers = strata.layers
 
         for _ in range(samples):
             pick = rng.random() * total
             index = _bisect(cumulative, pick)
-            stratum = strata[index]
-            connected, log_conditional, chosen = self._sample_completion(
-                stratum, rng, track_world=want_ht
+            connected, log_conditional, chosen = sample(
+                layers[index],
+                strata.partition(index),
+                strata.terminal_counts(index),
+                rng,
+                track_world=want_ht,
             )
             if connected:
                 positives += 1
             if want_ht:
                 key = (index, chosen)
                 if key not in ht_contributions:
-                    log_world = _safe_log(stratum.probability) + log_conditional
+                    log_world = _safe_log(probabilities[index]) + log_conditional
                     ht_contributions[key] = (log_world, connected)
 
         if not want_ht:
@@ -887,12 +1016,21 @@ class S2BDD:
         union-find, while the uniform stream (one draw per remaining edge,
         in plan order) and therefore every result stay bit-identical.
         """
+        return self._completion_kernel().sample(
+            stratum.layer,
+            stratum.partition,
+            stratum.terminal_counts,
+            rng,
+            track_world=track_world,
+        )
+
+    def _completion_kernel(self) -> "_StratumCompletionKernel":
         kernel = self._completions
         if kernel is None:
             kernel = self._completions = _StratumCompletionKernel(
                 self._graph, self._plan, self._terminals
             )
-        return kernel.sample(stratum, rng, track_world=track_world)
+        return kernel
 
 
 class _StratumCompletionKernel:
@@ -959,15 +1097,22 @@ class _StratumCompletionKernel:
         return cached
 
     def sample(
-        self, stratum: Stratum, rng, *, track_world: bool = False
+        self,
+        layer: int,
+        partition: Sequence[int],
+        terminal_counts: Sequence[int],
+        rng,
+        *,
+        track_world: bool = False,
     ) -> Tuple[bool, float, Optional[frozenset]]:
-        """Draw one completion of ``stratum``; see ``S2BDD._sample_completion``."""
-        layer = stratum.layer
+        """Draw one completion of the stratum at ``layer`` with frontier
+        state ``partition`` / ``terminal_counts``; see
+        ``S2BDD._sample_completion``."""
         base = self._anchor_base
         parent = self._template.copy()
         # Seed with the frontier partition: each frontier vertex points at
         # its component's anchor slot.
-        for vertex, label in zip(self._frontier_indices(layer), stratum.partition):
+        for vertex, label in zip(self._frontier_indices(layer), partition):
             parent[vertex] = base + label
 
         # One uniform per remaining edge, in plan order.  The draws are lazy:
@@ -1008,7 +1153,7 @@ class _StratumCompletionKernel:
         # terminal share one root.
         anchors = [
             base + label
-            for label, count in enumerate(stratum.terminal_counts)
+            for label, count in enumerate(terminal_counts)
             if count > 0
         ]
         roots = set()

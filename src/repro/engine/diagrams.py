@@ -1,12 +1,15 @@
 """Constructed-diagram cache for the S²BDD backend.
 
-Construction dominates the s2bdd backend (~200× over the sampling sweep on
-the tracked benchmark workload), yet a constructed diagram depends only on
-the subproblem's *topology*, its terminal set, and the construction
-configuration — not on the edge probabilities, which only scale the mass
-flowing through the fixed arc structure.  :class:`DiagramCache` therefore
-keys constructed S²BDDs content-addressed by (subgraph topology, terminal
-tuple, construction-relevant config fields) and reuses them across queries:
+Construction is the s2bdd backend's largest fixed cost per terminal set:
+over one cold pass of the benchmark's paper workload (w=256, s=500, 2-CPU
+host) it takes ~88% of karate's query time and ~55% of tokyo's, and on
+dblp1 ~31% against ~50% for sampling the strata.  Yet a constructed
+diagram depends only on the subproblem's *topology*, its terminal set,
+and the construction configuration — not on the edge probabilities,
+which only scale the mass flowing through the fixed arc structure.
+:class:`DiagramCache` therefore keys constructed S²BDDs content-addressed
+by (subgraph topology, terminal tuple, construction-relevant config
+fields) and reuses them across queries:
 
 * identical probabilities → the stored construction is returned as-is
   (a *hit*; answers are bit-identical to a fresh construction because the
@@ -43,7 +46,9 @@ __all__ = ["DiagramCache", "diagram_key"]
 Vertex = Hashable
 
 #: Default retention bound: constructed diagrams for the catalog's working
-#: set of terminal sets; one entry holds a full arc-table replay, so the
+#: set of terminal sets.  An exact entry holds its arc-table replay, a
+#: width-capped one its strata table (flat columns, ~20 bytes plus one per
+#: frontier vertex and component per stratum) and its frontier plan, so the
 #: bound keeps worst-case memory proportional to ~64 constructions.
 _DEFAULT_MAX_ENTRIES = 64
 

@@ -1,6 +1,6 @@
 """Tests for the interned S²BDD construction and the constructed-diagram cache.
 
-Four contracts, bottom up:
+Five contracts, bottom up:
 
 * the interned flat-array construction loop is **bit-identical** to the
   dict-keyed reference loop (``tests/reference/s2bdd_dict.py``) — on raw
@@ -8,30 +8,44 @@ Four contracts, bottom up:
   too wide for one-byte merge keys) and through the engine across all six
   query kinds — and a pinned digest holds the raw runs to the values the
   construction gave before the reference left the product,
+* a construction keeps its strata in a :class:`StrataTable` — a constant
+  number of flat columns, widened past one byte when a label or a
+  terminal count needs it — that reads back as the reference's list,
 * :meth:`S2BDD.resweep` over a replay-safe construction reproduces a
   from-scratch construction with the new probabilities bit-identically,
 * :class:`DiagramCache` — content-addressed keys (``None`` for the
   ``random`` ordering), hit/re-sweep/miss outcomes, the LRU bound with
   eviction counting, and the ``enabled=False`` no-op mode,
 * the engine wires it all together: repeated workloads answer from the
-  cache with answers bit-identical to a cache-disabled engine.
+  cache with answers bit-identical to a cache-disabled engine, a
+  probability delta re-sweeps cached diagrams and a topology delta evicts
+  them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import random
 import sys
 import threading
+from array import array
 
 import pytest
 
 from repro.core.estimators import EstimatorKind
 from repro.core.frontier import EdgeOrdering
-from repro.core.s2bdd import S2BDD
-from repro.engine import EstimatorConfig, ReliabilityEngine, results_checksum
+from repro.core.s2bdd import S2BDD, StrataTable
+from repro.engine import (
+    AddEdge,
+    EstimatorConfig,
+    GraphDelta,
+    ReliabilityEngine,
+    SetEdgeProbability,
+    results_checksum,
+)
 from repro.engine.diagrams import DiagramCache, diagram_key
 from repro.engine.engine import EngineStats
 from repro.engine.queries import (
@@ -43,6 +57,7 @@ from repro.engine.queries import (
     TopKReliableVerticesQuery,
 )
 from repro.datasets import load_dataset
+from repro.experiments.workloads import generate_searches, queries_from_searches
 from repro.graph.uncertain_graph import UncertainGraph
 from repro.preprocess.pipeline import preprocess
 from tests.conftest import make_random_graph, random_terminals
@@ -175,6 +190,60 @@ class TestInternedParity:
         engine = ReliabilityEngine(config.replace(s2bdd_cache=False)).prepare(karate)
         results = engine.query_many(SIX_KINDS, seed_indices=[0] * len(SIX_KINDS))
         assert results_checksum(results) == results_checksum(expected)
+
+
+# ----------------------------------------------------------------------
+# The strata table: flat columns behind a read-only Sequence[Stratum]
+# ----------------------------------------------------------------------
+def ladder_bdd():
+    """A 2×150 ladder with every vertex a terminal (k = 300), width 2."""
+    edges = []
+    for index in range(150):
+        edges.append((("top", index), ("bottom", index), 0.97))
+        if index + 1 < 150:
+            edges.append((("top", index), ("top", index + 1), 0.97))
+            edges.append((("bottom", index), ("bottom", index + 1), 0.97))
+    graph = UncertainGraph.from_edge_list(edges)
+    return S2BDD(
+        graph, sorted(graph.vertices()), max_width=2, stratum_mass_cutoff=1.0, rng=0
+    )
+
+
+class TestStrataTable:
+    def test_strata_live_in_a_constant_number_of_columns(self, karate):
+        small = S2BDD(karate, [1, 10, 20], max_width=4, rng=3).construct().strata
+        strata = S2BDD(karate, [1, 10, 20], max_width=64, rng=3).construct().strata
+        assert len(strata) >= 500 > len(small) > 0
+        referents = gc.get_referents(strata)
+        assert len(referents) == len(gc.get_referents(small)) <= 8
+        columns = [column for column in referents if isinstance(column, array)]
+        assert sum(sys.getsizeof(column) for column in columns) <= 64 * len(strata)
+
+    def test_sequence_contract(self):
+        bdd = width_capped_bdd(0)
+        strata = bdd.construct(200).strata
+        reference = dict_construct(width_capped_bdd(0), 200).strata
+        assert len(strata) == len(reference) > 1
+        assert strata
+        assert not exact_bdd(0).construct().strata
+        assert list(strata) == reference
+        assert strata[-1] == reference[-1]
+        assert strata[-len(strata)] == reference[0]
+        with pytest.raises(IndexError):
+            strata[len(strata)]
+        with pytest.raises(IndexError):
+            strata[-len(strata) - 1]
+        assert isinstance(strata[1::2], StrataTable)
+        assert list(strata[1::2]) == reference[1::2]
+
+    def test_more_than_255_terminals_match_dict_reference(self):
+        bdd = ladder_bdd()
+        construction = bdd.construct(200)
+        result = bdd.run(200, construction=construction)
+        assert max(max(row.terminal_counts) for row in construction.strata) > 255
+        reference = capped_run(ladder_bdd(), dict_construct, EstimatorKind.MONTE_CARLO)
+        assert (construct_fields(construction), run_fields(result)) == reference
+        assert not result.exact
 
 
 # ----------------------------------------------------------------------
@@ -441,6 +510,87 @@ class TestEngineDiagramReuse:
         engine.reset_cache()
         assert len(engine.diagram_cache) == 0
         assert engine.stats.s2bdd_cache_evictions > 0
+
+
+def search_queries(graph, dataset, kinds):
+    """One 3-terminal search of ``dataset`` as queries of each of ``kinds``."""
+    searches = generate_searches(graph, dataset, 3, 1, seed=2019)
+    return [
+        query
+        for kind in kinds
+        for query in queries_from_searches(searches, kind, threshold=0.3)
+    ]
+
+
+class TestDiagramCacheAcrossDeltas:
+    """The diagram cache's dynamic-graph contract, through the engine."""
+
+    def test_probability_delta_resweeps_and_topology_delta_evicts(self):
+        # max_width=12000 keeps this workload's diagram exact with no
+        # priority sort, i.e. replay-safe; edge 7 survives preprocessing
+        # into the cached subproblem (edge 0 would be pruned away).
+        graph = load_dataset("karate")
+        config = EstimatorConfig(
+            backend="s2bdd", samples=300, rng=7, max_width=12_000
+        )
+        engine = ReliabilityEngine(config).prepare(graph)
+        queries = search_queries(graph, "karate", ("k-terminal", "threshold"))
+        repeat = list(range(len(queries)))
+
+        engine.query_many(queries)
+        built = engine.stats.s2bdds_built
+        engine.query_many(queries, seed_indices=repeat)
+        assert engine.stats.s2bdd_cache_hits > 0, engine.stats
+        assert engine.stats.s2bdds_built == built, "repeat pass rebuilt diagrams"
+
+        delta = GraphDelta((SetEdgeProbability(7, 0.25),))
+        outcome = engine.apply_delta(delta)
+        assert outcome.incremental, outcome
+        assert outcome.diagrams_evicted == 0, outcome
+        updated = engine.query_many(queries, seed_indices=repeat)
+        assert engine.stats.s2bdd_resweeps > 0, engine.stats
+        assert engine.stats.s2bdds_built == built, "probability delta rebuilt"
+
+        mutated = graph.copy()
+        delta.apply_to(mutated)
+        fresh = ReliabilityEngine(config).prepare(mutated)
+        expected = fresh.query_many(queries, seed_indices=repeat)
+        assert results_checksum(updated) == results_checksum(expected), (
+            "re-swept diagrams diverge from a fresh engine"
+        )
+
+        vertices = list(graph.vertices())
+        topo = GraphDelta((AddEdge(vertices[0], vertices[-1], 0.5),))
+        outcome = engine.apply_delta(topo)
+        assert outcome.diagrams_evicted > 0, outcome
+
+    def test_default_width_repeat_hits_strata_of_a_fresh_construction(
+        self, monkeypatch
+    ):
+        """At the default width tokyo's diagram is width-capped: the repeat
+        pass answers from the cached strata, equal to a rebuilt diagram's."""
+        graph = load_dataset("tokyo")
+        config = EstimatorConfig(backend="s2bdd", samples=300, rng=7)
+        engine = ReliabilityEngine(config).prepare(graph)
+        queries = search_queries(graph, "tokyo", ("k-terminal",))
+        engine.query_many(queries)
+        built = engine.stats.s2bdds_built
+
+        served = []
+        run = S2BDD.run
+
+        def recording_run(bdd, samples, **kwargs):
+            served.append((bdd, kwargs["construction"]))
+            return run(bdd, samples, **kwargs)
+
+        monkeypatch.setattr(S2BDD, "run", recording_run)
+        engine.query_many(queries, seed_indices=list(range(len(queries))))
+        assert engine.stats.s2bdd_cache_hits == len(served) > 0
+        assert engine.stats.s2bdds_built == built
+        for bdd, construction in served:
+            fresh = bdd.construct(config.samples)
+            assert len(construction.strata) > 500
+            assert construct_fields(construction) == construct_fields(fresh)
 
 
 class TestConcurrentQueries:
